@@ -20,6 +20,17 @@ run, together with the golden sha — so each speedup is free.  Results are
 written to ``BENCH_sweep.json`` (checked in at the repo root) with the
 per-phase breakdown of both the reference and the batched path.
 
+The golden config never reaches the x-miss estimator (its matrices are
+x-resident or inside the budget), so the full run adds two sections:
+
+* **x_miss** — ``estimate_stream_misses`` against the per-window loop
+  ``estimate_stream_misses_windowed`` on every out-of-budget dp element
+  stream of fdiff (suite #23) under the paper config, counts asserted
+  equal stream by stream;
+* **calibration** — ``profile_machine`` for sp and dp building its
+  profiling structures through the per-shape converters against the
+  fused ``plan_structures`` pass, profiles asserted identical.
+
 Usage::
 
     python benchmarks/bench_sweep.py            # full bench, writes JSON
@@ -38,6 +49,7 @@ import hashlib
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -46,6 +58,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FULL_INDICES = (1, 27, 30)
 SMOKE_INDICES = (1,)
+#: The suite matrix whose out-of-budget streams the x_miss section times.
+XMISS_INDEX = 23
 #: Acceptance bar: batched over the PR 3 per-cell SimPlan path.
 SPEEDUP_BAR = 3.0
 #: Golden canonical_json sha prefixes (see also tests/test_plan.py).
@@ -64,6 +78,31 @@ def _config(indices):
     )
 
 
+def _convert_each(coo, structures, **_):
+    """``plan_structures`` as one per-shape converter call per structure."""
+    from repro.core.candidates import Candidate
+    from repro.core.selection import build_candidate
+    from repro.types import Impl
+
+    return {
+        (kind, block): build_candidate(coo, Candidate(kind, block, Impl.SCALAR))
+        for kind, block in structures
+    }
+
+
+@contextmanager
+def _per_shape_calibration():
+    """Calibrate through the per-shape converters, the fused planner's spec."""
+    import repro.machine.batch as batch
+
+    original = batch.plan_structures
+    batch.plan_structures = _convert_each
+    try:
+        yield
+    finally:
+        batch.plan_structures = original
+
+
 def _run_baseline(config):
     """Cold pre-PR-3 worker: lazy calibration + reference simulator."""
     import repro.core.profiling as profiling
@@ -74,13 +113,14 @@ def _run_baseline(config):
     original = profiling.simulate
     profiling.simulate = simulate_reference
     try:
-        t0 = time.perf_counter()
-        result = run_sweep(
-            config=config,
-            profile_cache=ProfileCache(),
-            simulate_fn=simulate_reference,
-        )
-        elapsed = time.perf_counter() - t0
+        with _per_shape_calibration():
+            t0 = time.perf_counter()
+            result = run_sweep(
+                config=config,
+                profile_cache=ProfileCache(),
+                simulate_fn=simulate_reference,
+            )
+            elapsed = time.perf_counter() - t0
     finally:
         profiling.simulate = original
     return result, elapsed
@@ -108,6 +148,103 @@ def _run_batched(config, store_dir):
         config=config, profile_cache=ProfileStore(store_dir), batch=True
     )
     return result, time.perf_counter() - t0
+
+
+def _best_of(rounds: int, fn):
+    """(last result, best wall time) of ``rounds`` calls of ``fn``."""
+    best = float("inf")
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return result, best
+
+
+def _out_of_budget_streams(idx: int, machine, precision: str) -> list:
+    """Element line streams of ``idx`` whose distinct lines exceed the
+    budget, over every paper-config structure that is not x-resident."""
+    import numpy as np
+
+    from repro.core.candidates import candidate_space, unique_structures
+    from repro.machine.batch import plan_structures
+    from repro.machine.plan import get_plan
+    from repro.matrices.suite import get_entry
+
+    coo = get_entry(idx).build()
+    structures = plan_structures(
+        coo, unique_structures(candidate_space(max_block_elems=8))
+    )
+    streams = []
+    for fmt in structures.values():
+        plan = get_plan(fmt, machine, precision)
+        if plan.x_resident:
+            continue
+        for part in plan.parts:
+            lines = part.x_access_stream().line_ids(plan.line_elems)
+            if (
+                lines.size
+                and lines.max() >= plan.budget
+                and np.unique(lines).shape[0] > plan.budget
+            ):
+                streams.append(lines)
+    return streams
+
+
+def bench_x_miss(machine, rounds: int) -> dict:
+    """The estimator against its per-window loop spec on fdiff's streams."""
+    from repro.machine.cache import (
+        estimate_stream_misses,
+        estimate_stream_misses_windowed,
+        x_budget_lines,
+    )
+
+    streams = _out_of_budget_streams(XMISS_INDEX, machine, "dp")
+    if not streams:
+        raise SystemExit("FATAL: no out-of-budget stream to time")
+    budget = x_budget_lines(
+        machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
+    )
+    fast, t_fast = _best_of(
+        rounds, lambda: [estimate_stream_misses(s, budget) for s in streams]
+    )
+    spec, t_spec = _best_of(
+        rounds,
+        lambda: [estimate_stream_misses_windowed(s, budget) for s in streams],
+    )
+    if fast != spec:
+        raise SystemExit("FATAL: estimator disagrees with the windowed spec")
+    return {
+        "matrix_idx": XMISS_INDEX,
+        "precision": "dp",
+        "budget_lines": budget,
+        "streams": len(streams),
+        "elements": int(sum(s.shape[0] for s in streams)),
+        "misses": int(sum(fast)),
+        "windowed_s": round(t_spec, 3),
+        "estimator_s": round(t_fast, 3),
+        "speedup": round(t_spec / t_fast, 3),
+    }
+
+
+def bench_calibration(machine, rounds: int) -> dict:
+    """``profile_machine`` sp + dp: per-shape converters vs fused planner."""
+    from repro.core.profiling import profile_machine
+
+    def calibrate():
+        return [profile_machine(machine, p) for p in ("sp", "dp")]
+
+    with _per_shape_calibration():
+        converted, t_convert = _best_of(rounds, calibrate)
+    fused, t_fused = _best_of(rounds, calibrate)
+    if converted != fused:
+        raise SystemExit("FATAL: fused-planner calibration changed a profile")
+    return {
+        "machine": machine.name,
+        "precisions": ["sp", "dp"],
+        "converters_s": round(t_convert, 3),
+        "fused_s": round(t_fused, 3),
+        "speedup": round(t_convert / t_fused, 3),
+    }
 
 
 def _phases(matrix) -> dict:
@@ -217,6 +354,14 @@ def main(argv=None) -> int:
             return 1
         return 0
 
+    from repro.machine.presets import get_preset
+
+    machine = get_preset(_config(indices).machine_name)
+    payload["x_miss"] = bench_x_miss(machine, rounds)
+    payload["calibration"] = bench_calibration(machine, rounds)
+    for name in ("x_miss", "calibration"):
+        section = payload[name]
+        print(f"{name}: {section['speedup']:.2f}x {json.dumps(section)}")
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
     if payload["speedup"] < SPEEDUP_BAR:

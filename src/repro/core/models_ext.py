@@ -28,8 +28,8 @@ from __future__ import annotations
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat
-from ..machine.cache import estimate_stream_misses, x_budget_lines
 from ..machine.machine import MachineModel
+from ..machine.plan import get_plan
 from ..types import Impl, Precision
 from .models import MODELS, OverlapModel, PerformanceModel
 from .profiling import BlockProfile
@@ -42,27 +42,12 @@ def estimate_format_misses(
 ) -> int:
     """Structural estimate of non-streaming input-vector misses.
 
-    Uses the machine's public cache geometry only; memoised on the format
-    object (shared with the simulator's identical analysis, so a sweep
+    Uses the machine's public cache geometry only; this is the simulator's
+    own x-miss term (memoised on the format's simulation plan, so a sweep
     computes it once).
     """
-    precision = Precision.coerce(precision)
-    if fmt.working_set(precision) <= machine.l2.size_bytes:
-        return 0
-    line_elems = machine.l2.line_bytes // precision.itemsize
-    budget = x_budget_lines(
-        machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
-    )
-    total = 0
-    for part in fmt.submatrices():
-        cache = part.__dict__.setdefault("_x_miss_cache", {})
-        misses = cache.get((line_elems, budget))
-        if misses is None:
-            lines = part.x_access_stream().line_ids(line_elems)
-            misses = estimate_stream_misses(lines, budget)
-            cache[(line_elems, budget)] = misses
-        total += misses
-    return total
+    plan = get_plan(fmt, machine, precision)
+    return 0 if plan.x_resident else plan.total_misses()
 
 
 class OverlapLatencyModel(PerformanceModel):

@@ -33,8 +33,6 @@ import numpy as np
 
 from ..errors import ProfileError
 from ..formats.base import SparseFormat
-from ..formats.bcsd import BCSDMatrix
-from ..formats.bcsr import BCSRMatrix
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..durability.report import quarantine_artifact, report_write_failure
@@ -116,35 +114,18 @@ class BlockProfile:
             ) from None
 
 
-def _profiled_builds(max_block_elems: int):
-    """(descriptor, impl, builder) triples covering the fixed-size space."""
-    builds = []
-    builds.append(
-        (
-            ("csr", None),
-            (Impl.SCALAR,),
-            lambda coo: CSRMatrix.from_coo(coo, with_values=False),
-        )
+def _profiled_builds(max_block_elems: int) -> list[tuple[tuple, tuple]]:
+    """(descriptor, impls) pairs covering the fixed-size space.
+
+    A descriptor is also the structure key
+    :func:`repro.machine.batch.plan_structures` builds it under.
+    """
+    both = (Impl.SCALAR, Impl.SIMD)
+    return (
+        [(("csr", None), (Impl.SCALAR,))]
+        + [(("bcsr", (s.r, s.c)), both) for s in rect_shapes(max_block_elems)]
+        + [(("bcsd", b), both) for b in diag_sizes(max_block_elems)]
     )
-    for shape in rect_shapes(max_block_elems):
-        builds.append(
-            (
-                ("bcsr", (shape.r, shape.c)),
-                (Impl.SCALAR, Impl.SIMD),
-                lambda coo, s=shape: BCSRMatrix.from_coo(
-                    coo, s, with_values=False
-                ),
-            )
-        )
-    for b in diag_sizes(max_block_elems):
-        builds.append(
-            (
-                ("bcsd", b),
-                (Impl.SCALAR, Impl.SIMD),
-                lambda coo, b=b: BCSDMatrix.from_coo(coo, b, with_values=False),
-            )
-        )
-    return builds
 
 
 def _dense_csr_ws(n: int, precision: Precision) -> int:
@@ -192,27 +173,35 @@ def profile_machine(
     auto_small, auto_large = default_profile_sizes(machine, precision)
     small_n = auto_small if small_n is None else small_n
     large_n = auto_large if large_n is None else large_n
-    small = dense_coo(small_n)
-    large = dense_coo(large_n)
+    # Imported here: machine.batch imports core.selection, which imports
+    # this module.
+    from ..machine.batch import plan_structures
+
+    builds = _profiled_builds(max_block_elems)
+    descriptors = [desc for desc, _ in builds]
+    # One fused planning pass per matrix builds every profiled structure,
+    # array-for-array identical to the per-shape converters.
+    smalls = plan_structures(dense_coo(small_n), descriptors)
+    larges = plan_structures(dense_coo(large_n), descriptors)
     profile = BlockProfile(machine_name=machine.name, precision=precision)
 
     # Sanity of the methodology's premises (paper Section IV).
-    small_ws = CSRMatrix.from_coo(small, with_values=False).working_set(precision)
+    small_ws = smalls[("csr", None)].working_set(precision)
     if small_ws > machine.l1.size_bytes:
         raise ProfileError(
             f"small dense profile ws ({small_ws} B) exceeds L1 "
             f"({machine.l1.size_bytes} B); decrease small_n"
         )
-    large_ws = CSRMatrix.from_coo(large, with_values=False).working_set(precision)
+    large_ws = larges[("csr", None)].working_set(precision)
     if large_ws <= machine.l2.size_bytes:
         raise ProfileError(
             f"large dense profile ws ({large_ws} B) does not exceed L2 "
             f"({machine.l2.size_bytes} B); increase large_n"
         )
 
-    for desc, impls, builder in _profiled_builds(max_block_elems):
-        fmt_small = builder(small)
-        fmt_large = builder(large)
+    for desc, impls in builds:
+        fmt_small = smalls[desc]
+        fmt_large = larges[desc]
         ws_large = fmt_large.working_set(precision)
         t_mem_large = ws_large / machine.memory_bandwidth(1)
         for impl in impls:
@@ -269,10 +258,15 @@ def _calibrate_latency(
 
 
 class ProfileCache:
-    """Caches :func:`profile_machine` results per (machine, precision)."""
+    """Caches :func:`profile_machine` results per (machine, precision).
+
+    Entries are keyed by machine identity and hold the machine itself:
+    while its entry lives a machine cannot be freed, so no later machine
+    can reuse its ``id()`` and be served its profile.
+    """
 
     def __init__(self) -> None:
-        self._cache: dict[tuple, BlockProfile] = {}
+        self._cache: dict[tuple, tuple[MachineModel, BlockProfile]] = {}
 
     def get(
         self,
@@ -284,10 +278,10 @@ class ProfileCache:
         precision = Precision.coerce(precision)
         key = (id(machine), precision, calibrate_latency)
         if key not in self._cache:
-            self._cache[key] = profile_machine(
+            self._cache[key] = machine, profile_machine(
                 machine, precision, calibrate_latency=calibrate_latency
             )
-        return self._cache[key]
+        return self._cache[key][1]
 
     def seed(
         self,
@@ -301,11 +295,11 @@ class ProfileCache:
         This is the sweep engine's warm-start hook: the parent process
         calibrates once, serializes the profile into each
         :class:`~repro.engine.tasks.ShardTask`, and workers seed their
-        per-process cache instead of re-running the ~2.3–3.7 s calibration.
+        per-process cache instead of re-running the ~0.4 s calibration.
         A profile already cached for the key is kept (first seed wins).
         """
         key = (id(machine), profile.precision, calibrate_latency)
-        self._cache.setdefault(key, profile)
+        self._cache.setdefault(key, (machine, profile))
 
 
 #: Module-level default cache used by the selection helpers.
@@ -451,17 +445,17 @@ class ProfileStore(ProfileCache):
         precision = Precision.coerce(precision)
         key = (id(machine), precision, calibrate_latency)
         if key in self._cache:
-            return self._cache[key], "memory"
+            return self._cache[key][1], "memory"
         profile = self.load_cached(
             machine, precision, calibrate_latency=calibrate_latency
         )
         if profile is not None:
-            self._cache[key] = profile
+            self._cache[key] = machine, profile
             return profile, "disk"
         profile = profile_machine(
             machine, precision, calibrate_latency=calibrate_latency
         )
-        self._cache[key] = profile
+        self._cache[key] = machine, profile
         self.store_profile(
             machine, precision, profile, calibrate_latency=calibrate_latency
         )

@@ -138,7 +138,7 @@ class _ProfileOwner:
     """Calibrated profiles (:class:`repro.core.profiling.ProfileStore`).
 
     Uses a synthetic :class:`BlockProfile` (the cycle number rides in
-    ``latency_cost_s``) so no real ~3 s calibration runs; the disk path
+    ``latency_cost_s``) so no real calibration runs; the disk path
     is exactly the production one.
     """
 

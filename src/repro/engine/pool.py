@@ -103,7 +103,7 @@ class SweepEngine:
         set_durability_listener(self._emit_durability)
         # Warm-starting only makes sense for the real task function — the
         # fault-injection stubs the tests substitute never calibrate, and
-        # paying ~3 s of calibration up front would only slow them down.
+        # paying for calibration up front would only slow them down.
         self.warm_profiles = (
             (task_fn is run_shard_task) if warm_profiles is None else warm_profiles
         )

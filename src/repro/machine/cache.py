@@ -12,15 +12,16 @@ Three models live here:
   that are bandwidth-bound and the latency-bound ones (#12, #14, #15, #28).
   The stream is treated as cyclic (steady state over 100 iterations, as the
   paper measures): the "previous window" of the first window is the last
-  window of the stream.  The implementation is a single vectorized
-  sort-based sweep over ``(window, line)`` incidence pairs — no Python loop
-  over windows.
+  window of the stream.  The implementation sorts each window's ids in
+  place — O(n log W) time, O(n) memory — and dedupes and matches the
+  resulting globally sorted ``(window, line)`` keys in a few vectorized
+  passes; no Python loop over windows.
 
 * :func:`estimate_stream_misses_windowed` — the original per-window Python
   loop (``np.unique`` per window, ``np.isin`` per window pair), kept as the
   executable specification.  The test suite asserts the vectorized
   estimator agrees with it exactly on randomized streams, and the sweep
-  benchmark uses it as the pre-optimization baseline.
+  benchmark times the estimator against it.
 
 * :class:`LRUCache` — an exact, tiny, deliberately slow fully-associative
   LRU simulator used by the test suite to sanity-check the estimators'
@@ -77,30 +78,53 @@ def estimate_stream_misses(
     n = line_ids.shape[0]
     if n == 0 or budget_lines <= 0:
         return 0
-    unique_lines = np.unique(line_ids)
-    distinct_total = unique_lines.shape[0]
+    window = max(int(budget_lines), 1)
+    n_windows = -(-n // window)
+    # One row per window; the ragged last row is padded with its own last
+    # id, which adds no (window, line) incidence.
+    rows = np.empty(n_windows * window, dtype=np.int64)
+    lo = int(line_ids.min())
+    span = int(line_ids.max()) - lo + 1
+    if span <= 8 * n and n_windows * span < 2**62:
+        # Offsets into the id span: a presence map over it is no larger
+        # than the stream, and (window, offset) packs into one int64.
+        rows[:n] = line_ids
+        rows[:n] -= lo
+        seen = np.zeros(span, dtype=bool)
+        seen[rows[:n]] = True
+        distinct_total = int(np.count_nonzero(seen))
+        del seen
+    else:
+        # Ids spread far apart: dense-rank them instead.
+        unique_lines = np.unique(line_ids)
+        distinct_total = unique_lines.shape[0]
+        rows[:n] = np.searchsorted(unique_lines, line_ids)
+        span = distinct_total
     if distinct_total <= budget_lines:
         # The whole x footprint is cache-resident in steady state.
         return 0
-    window = max(int(budget_lines), 1)
-    n_windows = -(-n // window)
-    # Dense-rank the line ids so a (window, line) pair packs into one int64
-    # key without overflow: window < n_windows <= n and rank < distinct <= n.
-    ranks = np.searchsorted(unique_lines, line_ids)
-    k = np.int64(distinct_total)
-    keys = (np.arange(n, dtype=np.int64) // window) * k + ranks
-    pairs = np.unique(keys)  # sorted distinct (window, line) incidences
-    pair_window = pairs // k
-    pair_rank = pairs - pair_window * k
+    rows[n:] = rows[n - 1]
+    grid = rows.reshape(n_windows, window)
+    grid.sort(axis=1)
+    # key = window * span + offset is globally sorted once each row is, so
+    # dropping equal neighbours leaves the distinct (window, line) pairs.
+    grid += (np.arange(n_windows, dtype=np.int64) * span)[:, None]
+    keep = np.empty(rows.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(rows[1:], rows[:-1], out=keep[1:])
+    pairs = rows[keep]
+    del rows, grid, keep
     # A pair misses iff its line was absent from the previous window, i.e.
     # (window - 1, line) is not itself a pair.  The cyclic steady state
     # wraps window 0's predecessor around to the last window.
-    prev_keys = (pair_window - 1) * k + pair_rank
-    first = pair_window == 0
+    prev_keys = pairs - span
+    first = prev_keys < 0
     if cyclic:
-        prev_keys[first] = np.int64(n_windows - 1) * k + pair_rank[first]
+        prev_keys[first] += n_windows * span
     pos = np.searchsorted(pairs, prev_keys)
-    present = pairs[np.minimum(pos, pairs.shape[0] - 1)] == prev_keys
+    np.minimum(pos, pairs.shape[0] - 1, out=pos)
+    present = pairs[pos] == prev_keys
+    del pos
     if cyclic:
         misses = int(np.count_nonzero(~present))
     else:
@@ -123,10 +147,11 @@ def estimate_stream_misses_windowed(
     """Reference implementation of :func:`estimate_stream_misses`.
 
     The original per-window Python loop, kept verbatim as the executable
-    specification: ``tests/test_cache.py`` asserts the vectorized sweep
-    returns exactly the same count on randomized streams, and
-    ``benchmarks/bench_sweep.py`` measures against it as the pre-SimPlan
-    baseline.  Do not optimize this function.
+    specification: ``tests/test_cache.py`` asserts the estimator returns
+    exactly the same count on randomized streams, and
+    ``benchmarks/bench_sweep.py`` measures against it (as the pre-SimPlan
+    baseline and on fdiff's out-of-budget streams).  Do not optimize this
+    function.
     """
     line_ids = np.asarray(line_ids)
     n = line_ids.shape[0]

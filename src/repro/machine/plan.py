@@ -5,10 +5,12 @@ impl, threads) cell — up to 12 calls per candidate under the full config —
 and most of what each call computes depends only on the format structure
 and at most the precision:
 
-* the per-part row-cost vectors (``costs.block_row_cycles``) depend on
-  (structure, effective impl, precision), not the thread count;
-* the balanced row partition depends on (structure, thread count) only, and
-  its per-thread segment sums on (partition, row costs);
+* the per-part row-cost vectors (``costs.block_row_cycles``) and their
+  prefix sums depend on (structure, effective impl, precision), not the
+  thread count;
+* the balanced row partition depends on (structure, thread count) only —
+  not on precision or machine — so it is memoised on the format part
+  itself and shared by every plan of that structure;
 * the decomposition working-set shares and the streaming-loss factor depend
   on (structure, precision) only;
 * the x-access cache-miss estimate depends on (structure, precision) only.
@@ -23,16 +25,13 @@ precisions and thread counts — turns into cross-cell reuse.
 The plan is **bit-identical** to the historical per-call path: every float
 operation happens with the same operands in the same order, memoization
 only removes recomputation of identical intermediate arrays.  The x-miss
-term additionally short-circuits through two *exact* structural bounds
-before touching the element stream:
+term additionally short-circuits through an *exact* structural bound
+before touching the element stream: if even the largest reachable cache
+line fits inside the budget, the distinct-line count trivially does too
+(``estimate_stream_misses`` returns 0 whenever ``distinct <= budget``).
+Every other part hands its element stream to the estimator, whose own
+early exit settles the resident case in one linear pass.
 
-1. if even the largest reachable cache line fits inside the budget, the
-   distinct-line count trivially does too (``estimate_stream_misses``
-   returns 0 whenever ``distinct <= budget``), and
-2. otherwise the exact distinct-line count — computed from the (cached)
-   unique columns, far smaller than the element stream — decides residency.
-
-Only genuinely latency-bound parts ever expand their element stream.
 ``repro.machine.executor.simulate`` is a thin wrapper over this module;
 ``simulate_reference`` there preserves the original unfactored path.
 """
@@ -45,7 +44,12 @@ import numpy as np
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat, XAccessStream
-from ..parallel.partition import balanced_partition, stored_per_block_row
+from ..parallel.partition import (
+    RowPartition,
+    balanced_partition,
+    prefix_sums,
+    stored_per_block_row,
+)
 from ..types import Impl, Precision
 from .cache import estimate_stream_misses, x_budget_lines
 from .machine import MachineModel
@@ -94,30 +98,6 @@ def _stream_max_line(stream: XAccessStream, line_elems: int) -> int:
     return max(max_col, 0) // line_elems
 
 
-def _unique_columns(part: SparseFormat) -> np.ndarray:
-    """Sorted unique x columns the part touches (cached on the part).
-
-    Derived from the unique *starts* where the access width is fixed, so
-    wide-block formats never expand their full element stream here.
-    """
-    cols = part.__dict__.get("_x_unique_cols")
-    if cols is None:
-        stream = part.x_access_stream()
-        if stream.widths is not None:
-            cols = np.unique(stream.element_columns())
-        elif stream.width == 1:
-            cols = np.unique(stream.starts)
-        else:
-            starts = np.unique(stream.starts)
-            cols = np.unique(
-                (
-                    starts[:, None] + np.arange(stream.width, dtype=np.int64)
-                ).ravel()
-            )
-        part.__dict__["_x_unique_cols"] = cols
-    return cols
-
-
 def _estimate_part_misses(
     part: SparseFormat, line_elems: int, budget: int
 ) -> int:
@@ -126,14 +106,10 @@ def _estimate_part_misses(
     stream = part.x_access_stream()
     if len(stream) == 0:
         return 0
-    # Exact structural shortcuts: estimate_stream_misses returns 0 whenever
-    # the distinct-line count fits the budget, and both bounds below decide
-    # exactly that without materialising the element-granularity stream.
+    # Exact structural shortcut: estimate_stream_misses returns 0 whenever
+    # the distinct-line count fits the budget, and a max line inside the
+    # budget proves that without materialising the element stream.
     if _stream_max_line(stream, line_elems) + 1 <= budget:
-        return 0
-    cols = _unique_columns(part)
-    distinct = np.unique(np.maximum(cols, 0) // line_elems).shape[0]
-    if distinct <= budget:
         return 0
     return int(estimate_stream_misses(stream.line_ids(line_elems), budget))
 
@@ -147,6 +123,24 @@ def _part_misses(part: SparseFormat, line_elems: int, budget: int) -> int:
         misses = _estimate_part_misses(part, line_elems, budget)
         cache[key] = misses
     return misses
+
+
+def _partition(part: SparseFormat, nthreads: int) -> RowPartition:
+    """The part's balanced ``nthreads``-way row partition (memoised on it).
+
+    Partitions depend on the structure alone, so every plan of the part —
+    any precision, any machine — shares one per thread count.
+    """
+    memo = part.__dict__.setdefault("_row_partitions", {})
+    partition = memo.get(nthreads)
+    if partition is None:
+        weights = part.__dict__.get("_partition_weights")
+        if weights is None:
+            weights = stored_per_block_row(part)
+            part.__dict__["_partition_weights"] = weights
+        partition = balanced_partition(weights, nthreads)
+        memo[nthreads] = partition
+    return partition
 
 
 class SimPlan:
@@ -196,10 +190,7 @@ class SimPlan:
         self.startup = machine.costs.pass_startup_cycles * max(
             len(self.parts) - 1, 0
         )
-        self._row_cycles: dict[tuple[int, Impl], np.ndarray] = {}
-        self._weights: list[np.ndarray | None] = [None] * len(self.parts)
-        self._partitions: dict[tuple[int, int], object] = {}
-        self._per_thread: dict[tuple[int, Impl, int], np.ndarray] = {}
+        self._prefix: dict[tuple[int, Impl], np.ndarray] = {}
         self._misses: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -210,28 +201,19 @@ class SimPlan:
 
         Public because :mod:`repro.machine.batch` stacks these per-cell
         vectors across the candidate axis; the order-sensitive ``cumsum``
-        stays in here, per (structure, impl, threads).
+        stays in here, one prefix sum per (part, impl) that every thread
+        count indexes.
         """
-        key = (i, part_impl, nthreads)
-        out = self._per_thread.get(key)
-        if out is None:
-            row_cycles = self._row_cycles.get((i, part_impl))
-            if row_cycles is None:
-                row_cycles = self.machine.costs.block_row_cycles(
+        key = (i, part_impl)
+        prefix = self._prefix.get(key)
+        if prefix is None:
+            prefix = prefix_sums(
+                self.machine.costs.block_row_cycles(
                     part, part_impl, self.precision
                 )
-                self._row_cycles[(i, part_impl)] = row_cycles
-            partition = self._partitions.get((i, nthreads))
-            if partition is None:
-                weights = self._weights[i]
-                if weights is None:
-                    weights = stored_per_block_row(part)
-                    self._weights[i] = weights
-                partition = balanced_partition(weights, nthreads)
-                self._partitions[(i, nthreads)] = partition
-            out = partition.segment_sums(row_cycles)
-            self._per_thread[key] = out
-        return out
+            )
+            self._prefix[key] = prefix
+        return _partition(part, nthreads).prefix_segment_sums(prefix)
 
     def total_misses(self) -> int:
         """x-miss estimate summed over parts (precision-fixed per plan)."""

@@ -16,7 +16,17 @@ import numpy as np
 from ..errors import ModelError
 from ..formats.base import SparseFormat
 
-__all__ = ["RowPartition", "balanced_partition", "stored_per_block_row"]
+__all__ = [
+    "RowPartition",
+    "balanced_partition",
+    "prefix_sums",
+    "stored_per_block_row",
+]
+
+
+def prefix_sums(per_row: np.ndarray) -> np.ndarray:
+    """Running float64 sum of a per-block-row quantity, with a leading 0."""
+    return np.concatenate(([0.0], np.cumsum(per_row, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -39,8 +49,11 @@ class RowPartition:
 
     def segment_sums(self, per_row: np.ndarray) -> np.ndarray:
         """Sum a per-block-row quantity over each thread's rows."""
-        csum = np.concatenate(([0.0], np.cumsum(per_row, dtype=np.float64)))
-        return csum[self.boundaries[1:]] - csum[self.boundaries[:-1]]
+        return self.prefix_segment_sums(prefix_sums(per_row))
+
+    def prefix_segment_sums(self, prefix: np.ndarray) -> np.ndarray:
+        """:meth:`segment_sums` read off a precomputed :func:`prefix_sums`."""
+        return prefix[self.boundaries[1:]] - prefix[self.boundaries[:-1]]
 
 
 def balanced_partition(weights: np.ndarray, nthreads: int) -> RowPartition:

@@ -41,8 +41,8 @@ STRUCTURES = unique_structures(CANDIDATES)
 def profile_cache_both(machine, profile_dp, profile_sp):
     """A cache pre-seeded with both precisions (no test-time calibration)."""
     cache = ProfileCache()
-    cache._cache[(id(machine), Precision.DP, False)] = profile_dp
-    cache._cache[(id(machine), Precision.SP, False)] = profile_sp
+    cache.seed(machine, profile_dp)
+    cache.seed(machine, profile_sp)
     return cache
 
 

@@ -1,5 +1,7 @@
 """Tests for the cache models (windowed estimator + LRU oracle)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,20 @@ class TestEstimator:
         cold = estimate_stream_misses(lines, 10, cyclic=False)
         assert cold >= cyclic  # cold start adds the first window's misses
 
+    def test_peak_memory_stays_linear_in_the_stream(self):
+        """2M accesses over 1M lines at budget 64: a (windows x distinct)
+        presence map would need ~25 GiB; the estimator must stay within a
+        small multiple of the stream's own bytes."""
+        lines = np.random.default_rng(5).integers(0, 1_000_000, 2_000_000)
+        tracemalloc.start()
+        try:
+            misses = estimate_stream_misses(lines, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert misses > 1_000_000
+        assert peak <= 6 * lines.nbytes
+
     def test_monotone_in_budget(self):
         rng = np.random.default_rng(2)
         lines = rng.integers(0, 1024, 10000)
@@ -93,7 +109,11 @@ class TestEstimator:
 
 @st.composite
 def _stream_and_budget(draw):
-    """A line-id stream with tunable locality, plus a budget."""
+    """A line-id stream with tunable locality, plus a budget.
+
+    Ids are shifted to a zero, positive or negative minimum and spread up
+    to 2^40 apart, so both the offset and the dense-rank key paths run.
+    """
     n_lines = draw(st.integers(min_value=1, max_value=300))
     length = draw(st.integers(min_value=0, max_value=2000))
     style = draw(st.sampled_from(("random", "sweep", "banded", "clustered")))
@@ -110,8 +130,10 @@ def _stream_and_budget(draw):
         lines = np.repeat(
             rng.integers(0, n_lines, (length // 4) + 1), 4
         )[:length]
+    spread = draw(st.sampled_from((1, 1, 3, 2**40, 2**40 + 7)))
+    shift = draw(st.one_of(st.just(0), st.integers(-(2**50), 2**50)))
     budget = draw(st.integers(min_value=0, max_value=n_lines + 50))
-    return lines.astype(np.int64), budget
+    return lines.astype(np.int64) * spread + shift, budget
 
 
 class TestVectorizedEquivalence:

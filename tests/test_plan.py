@@ -7,6 +7,7 @@ exact bytes the historical per-call path produced — no tolerances anywhere.
 
 import dataclasses
 import json
+from collections import Counter
 
 import pytest
 
@@ -104,14 +105,51 @@ class TestPlanReuse:
         other = get_preset("generic-modern")
         assert get_plan(fmt, other, "dp") is not p1
 
-    def test_cells_share_memoised_partitions(self, machine):
-        fmt = _build(make_random_coo(200, 200, 2000, seed=7), "csr", None)
-        plan = get_plan(fmt, machine, "dp")
-        plan.run(Impl.SCALAR, 1)
-        plan.run(Impl.SCALAR, 2)
-        n_partitions = len(plan._partitions)
-        plan.run(Impl.SIMD, 2)  # same structure, same partition
-        assert len(plan._partitions) == n_partitions
+    def test_cells_share_memoised_partitions(self, machine, monkeypatch):
+        """Weights and partitions are built once per (part, nthreads) and
+        shared by every precision's plan; row-cost prefix sums once per
+        (precision, part, impl) and indexed by every thread count."""
+        import repro.machine.plan as plan_mod
+
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(plan_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(plan_mod, name, wrapper)
+
+        for name in ("stored_per_block_row", "balanced_partition", "prefix_sums"):
+            counted(name)
+        coo = make_random_coo(60, 60, 1500, seed=7, with_values=False)
+        fmt = _build(coo, "bcsr_dec", (2, 2))
+        parts = fmt.submatrices()
+        assert len(parts) == 2  # a blocked part and its CSR remainder
+        threads = (1, 2, 4)
+        cells = [
+            (precision, impl, nthreads)
+            for precision in ("dp", "sp")
+            for impl in (Impl.SCALAR, Impl.SIMD)
+            for nthreads in threads
+        ]
+        for precision, impl, nthreads in cells:
+            got = simulate(fmt, machine, precision, impl, nthreads)
+            assert got == simulate_reference(
+                fmt, machine, precision, impl, nthreads
+            )
+        assert calls["stored_per_block_row"] == len(parts)
+        assert calls["balanced_partition"] == len(parts) * len(threads)
+        impls_per_part = [
+            len({machine.costs.effective_impl(p, i) for i in Impl})
+            for p in parts
+        ]
+        assert calls["prefix_sums"] == 2 * sum(impls_per_part)  # sp + dp
+        # The memos live on the structure, not on a precision's plan.
+        for part in parts:
+            assert sorted(part.__dict__["_row_partitions"]) == list(threads)
 
     def test_run_cells_batches(self, machine):
         fmt = _build(dense_coo(40), "csr", None)

@@ -1,16 +1,23 @@
 """Tests for the t_b / nof profiling machinery (paper eq. 4 methodology)."""
 
+import dataclasses
+import json
+from hashlib import sha256
+
 import pytest
 
 from repro.core.profiling import (
     BlockProfile,
     ProfileCache,
+    ProfileStore,
     dense_coo,
     profile_machine,
+    profile_to_payload,
 )
 from repro.errors import ProfileError
 from repro.formats import BCSRMatrix, CSRMatrix
-from repro.types import Impl
+from repro.serve.store import profile_token
+from repro.types import Impl, Precision
 
 
 class TestDenseCoo:
@@ -89,3 +96,51 @@ class TestProfileCache:
         assert a is b
         assert a is not c
         assert isinstance(a, BlockProfile)
+
+    @pytest.mark.parametrize("kind", ["cache", "store"])
+    def test_freed_machine_id_never_serves_stale_profile(
+        self, machine, kind, tmp_path, monkeypatch
+    ):
+        """A machine created after another was freed may reuse its id();
+        the in-memory layer must still answer for the machine it was
+        asked about."""
+        import repro.core.profiling as profiling
+
+        def named_profile(m, precision, **_):
+            return BlockProfile(
+                machine_name=m.name, precision=Precision.coerce(precision)
+            )
+
+        monkeypatch.setattr(profiling, "profile_machine", named_profile)
+        cache = ProfileCache() if kind == "cache" else ProfileStore(tmp_path)
+        # Cache levels built up front, so each loop turn allocates exactly
+        # one machine and CPython hands it the freed one's address.
+        l2s = [
+            dataclasses.replace(machine.l2, size_bytes=machine.l2.size_bytes * k)
+            for k in range(2, 42)
+        ]
+        for k, l2 in enumerate(l2s):
+            m = dataclasses.replace(machine, name=f"m{k}", l2=l2)
+            assert cache.get(m, "dp").machine_name == f"m{k}"
+            del m
+
+
+class TestCalibrationPins:
+    """The calibrated profiles are pinned byte for byte: every cached
+    advisor entry and on-disk profile is keyed by these values, so any
+    change to the calibration path must leave them untouched."""
+
+    @pytest.mark.parametrize(
+        "precision,payload_sha,token",
+        [
+            ("sp", "b54cdd10f8bdd4e1", "9ba5f7fa79bc6346"),
+            ("dp", "f0b18385a0c207f6", "ed067383c4d9cf0d"),
+        ],
+    )
+    def test_core2_profiles_are_pinned(
+        self, precision, payload_sha, token, profile_sp, profile_dp
+    ):
+        profile = profile_sp if precision == "sp" else profile_dp
+        payload = json.dumps(profile_to_payload(profile), sort_keys=True)
+        assert sha256(payload.encode()).hexdigest()[:16] == payload_sha
+        assert profile_token(profile) == token
