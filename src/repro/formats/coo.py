@@ -176,6 +176,11 @@ class COOMatrix(SparseFormat):
     __hash__ = None  # type: ignore[assignment]
 
 
+#: Largest ``nrows * ncols`` whose row-major keys ``row * ncols + col``
+#: (below ``nrows * ncols``) and ``ncols`` itself fit an int64.
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
+
+
 def _canonicalise(
     nrows: int,
     ncols: int,
@@ -183,19 +188,33 @@ def _canonicalise(
     cols: np.ndarray,
     values: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Sort row-major and merge duplicate coordinates (summing values)."""
+    """Sort row-major and merge duplicate coordinates (summing values).
+
+    Sorts one int64 key ``row * ncols + col``; a stable sort when values
+    ride along, so duplicates are summed in input order, exactly as the
+    ``lexsort`` the key replaces (kept for shapes whose keys overflow).
+    """
     if rows.size == 0:
         return rows, cols, values
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    if values is not None:
-        values = values[order]
-    dup = np.empty(rows.shape[0], dtype=bool)
-    dup[0] = False
-    dup[1:] = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    if int(nrows) * int(ncols) <= _KEY_LIMIT:
+        key = rows * np.int64(ncols) + cols
+        if values is None:
+            key = np.sort(key)
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            values = values[order]
+        rows, cols = np.divmod(key, np.int64(ncols))
+        dup = key[1:] == key[:-1]
+    else:
+        order = np.lexsort((cols, rows))
+        rows = rows[order]
+        cols = cols[order]
+        if values is not None:
+            values = values[order]
+        dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
     if dup.any():
-        keep = ~dup
+        keep = np.concatenate(([True], ~dup))
         if values is not None:
             # Sum runs of duplicates into the first element of each run.
             group = np.cumsum(keep) - 1

@@ -544,7 +544,8 @@ class MatrixProgram:
     axis.  The per-structure :class:`SimPlan` memos (row costs, partitions,
     ``cumsum`` segment sums, x-miss estimates) are shared with the per-call
     path, so the two paths agree bit-for-bit by construction everywhere the
-    arithmetic is order-sensitive.
+    arithmetic is order-sensitive.  :meth:`predict` is the models-only
+    plane the advisor ranks; it touches no :class:`SimPlan`.
     """
 
     def __init__(
@@ -716,20 +717,65 @@ class MatrixProgram:
         ]
         models = tuple(models)
         if models:
-            self._predict(cells, plans, precision, nthreads, models, ws_f)
+            self._predict(
+                cells, [p.parts for p in plans], ws_f, precision, nthreads,
+                models,
+            )
+        return cells
+
+    def predict(
+        self,
+        precision: Precision | str,
+        nthreads: int,
+        candidates: Sequence[Candidate],
+        *,
+        models: Iterable[str] = (),
+    ) -> list[CandidateResult]:
+        """Model predictions for one (precision, threads) plane, no simulator.
+
+        The advisor's path: the fused planning pass plus :meth:`_predict`.
+        It builds no :class:`SimPlan` (so it leaves no plan on a format),
+        runs no simulator axis and never materializes lazy index values.
+        The results carry ``sim=None``; their predictions are bit-identical
+        to :meth:`evaluate`'s and to ``evaluate_candidates(...,
+        run_simulation=False)``.
+        """
+        precision = Precision.coerce(precision)
+        fmts = [self.fmt_cache[(c.kind, c.block)] for c in candidates]
+        ws = [fmt.working_set(precision) for fmt in fmts]
+        cells = [
+            CandidateResult(
+                candidate=cand,
+                ws_bytes=w,
+                padding_ratio=fmt.padding_ratio,
+                n_blocks=fmt.n_blocks,
+            )
+            for cand, fmt, w in zip(candidates, fmts, ws)
+        ]
+        models = tuple(models)
+        if models:
+            self._predict(
+                cells, [tuple(fmt.submatrices()) for fmt in fmts],
+                np.array(ws, dtype=np.int64).astype(np.float64),
+                precision, nthreads, models,
+            )
         return cells
 
     # ------------------------------------------------------------------ #
     def _predict(
         self,
         cells: list[CandidateResult],
-        plans: list[SimPlan],
+        parts: list[tuple[SparseFormat, ...]],
+        ws_f: np.ndarray,
         precision: Precision,
         nthreads: int,
         models: tuple[str, ...],
-        ws_f: np.ndarray,
     ) -> None:
-        """Attach MEM/MEMCOMP/OVERLAP predictions, vectorized over cells."""
+        """Attach MEM/MEMCOMP/OVERLAP predictions, vectorized over cells.
+
+        ``parts[j]`` and ``ws_f[j]`` are cell ``j``'s submatrices and
+        working set — all the models read of a structure.
+        """
         machine = self.machine
         unknown = set(models) - set(_MODEL_NAMES)
         if unknown:
@@ -749,22 +795,21 @@ class MatrixProgram:
             # predictions, exactly like the per-cell ModelError path.
             if profile is not None and profile.precision is precision:
                 covered = [
-                    j for j, p in enumerate(plans)
+                    j for j, cell_parts in enumerate(parts)
                     if all(
                         part.block_descriptor()[0] not in ("vbl", "vbr")
-                        for part in p.parts
+                        for part in cell_parts
                     )
                 ]
         if covered:
             acc = {m: np.zeros(len(covered)) for m in profiled}
-            max_parts = max(len(plans[j].parts) for j in covered)
+            max_parts = max(len(parts[j]) for j in covered)
             for slot in range(max_parts):
                 sel, ws_i, nb, t_b, nof = [], [], [], [], []
                 for i, j in enumerate(covered):
-                    plan = plans[j]
-                    if slot >= len(plan.parts):
+                    if slot >= len(parts[j]):
                         continue
-                    part = plan.parts[slot]
+                    part = parts[j][slot]
                     part_impl = machine.costs.effective_impl(
                         part, cells[j].candidate.impl
                     )

@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import gzip
 import io
+import itertools
+import warnings
+from array import array
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +35,25 @@ _SUPPORTED_FIELDS = ("real", "integer", "pattern")
 _SUPPORTED_SYMMETRIES = ("general", "symmetric", "skew-symmetric")
 
 
+def _loadtxt_rejects_float_ints() -> bool:
+    """Whether ``np.loadtxt`` refuses an int64 field written as a float.
+
+    Older numpy releases parse ``1.5`` into an int64 column via float, with
+    only a DeprecationWarning, where the line loop's ``int()`` raises; on
+    those the fast path stays off.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            np.loadtxt(["1.5"], dtype=np.int64)
+        except ValueError:
+            return True
+    return False
+
+
+_FAST_PARSE = _loadtxt_rejects_float_ints()
+
+
 def _open(path: str | Path, mode: str) -> IO:
     path = Path(path)
     if path.suffix == ".gz":
@@ -40,7 +62,8 @@ def _open(path: str | Path, mode: str) -> IO:
 
 
 def _data_lines(handle: IO) -> Iterator[str]:
-    for line in handle:
+    # readline, not iteration: the reader takes ``tell()`` between lines.
+    for line in iter(handle.readline, ""):
         line = line.strip()
         if line and not line.startswith("%"):
             yield line
@@ -77,11 +100,9 @@ def _read_handle(fh: IO, *, source: str) -> COOMatrix:
     if symmetry not in _SUPPORTED_SYMMETRIES:
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}")
 
-    lines = _data_lines(fh)
-    try:
-        size_line = next(lines)
-    except StopIteration:
-        raise MatrixMarketError(f"missing size line in {path}") from None
+    size_line = next(_data_lines(fh), None)
+    if size_line is None:
+        raise MatrixMarketError(f"missing size line in {path}")
     try:
         nrows, ncols, nnz = (int(tok) for tok in size_line.split())
     except ValueError:
@@ -89,27 +110,14 @@ def _read_handle(fh: IO, *, source: str) -> COOMatrix:
             f"bad size line in {path}: {size_line!r}"
         ) from None
 
-    rows = np.empty(nnz, dtype=np.int64)
-    cols = np.empty(nnz, dtype=np.int64)
-    vals = None if field == "pattern" else np.empty(nnz, dtype=np.float64)
-    k = 0
-    for line in lines:
-        if k >= nnz:
-            raise MatrixMarketError(f"more entries than declared in {path}")
-        tok = line.split()
-        rows[k] = int(tok[0]) - 1
-        cols[k] = int(tok[1]) - 1
-        if vals is not None:
-            if len(tok) < 3:
-                raise MatrixMarketError(
-                    f"missing value on line {line!r} of {path}"
-                )
-            vals[k] = float(tok[2])
-        k += 1
-    if k != nnz:
-        raise MatrixMarketError(
-            f"{path} declares {nnz} entries but contains {k}"
-        )
+    start = fh.tell()
+    entries = None
+    if field == "pattern":
+        entries = _entries_fast(fh, nrows, ncols, nnz)
+    if entries is None:
+        fh.seek(start)
+        entries = _entries_loop(_data_lines(fh), nnz, field, path)
+    rows, cols, vals = entries
 
     if symmetry in ("symmetric", "skew-symmetric"):
         off = rows != cols
@@ -122,6 +130,87 @@ def _read_handle(fh: IO, *, source: str) -> COOMatrix:
                 mirror = -mirror
             vals = np.concatenate([vals, mirror])
     return COOMatrix(nrows, ncols, rows, cols, vals)
+
+
+def _entries_fast(
+    fh: IO, nrows: int, ncols: int, nnz: int
+) -> tuple[np.ndarray, np.ndarray, None] | None:
+    """A ``pattern`` data section parsed in one pass of numpy's C reader.
+
+    Returns ``None`` whenever the pass cannot prove the line loop would
+    return the same arrays; the loop then rereads the section and decides,
+    with its own messages.  ``loadtxt`` splits lines on the same whitespace
+    as ``str.split``, skips blank lines, takes the first two tokens and
+    rejects short lines and float, overflowing or non-ASCII indices.  With
+    ``comments=None`` a ``%`` anywhere in an index rejects the body too.
+    The entry count and index range are checked after.
+    """
+    if not _FAST_PARSE or nnz <= 0:
+        return None
+    # loadtxt warns on input without data; a body with none takes the loop.
+    first = next(_data_lines(fh), None)
+    if first is None:
+        return None
+    try:
+        table = np.loadtxt(
+            itertools.chain([first], fh),
+            dtype=np.int64,
+            comments=None,
+            usecols=(0, 1),
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    rows, cols = table[:, 0], table[:, 1]
+    if rows.shape[0] != nnz:
+        return None
+    if (
+        rows.min() < 1 or rows.max() > nrows
+        or cols.min() < 1 or cols.max() > ncols
+    ):
+        return None
+    return rows - 1, cols - 1, None
+
+
+def _entries_loop(
+    lines: Iterable[str], nnz: int, field: str, path: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The data section converted one line at a time (the reference)."""
+    # Growable typed buffers, read in place by the returned arrays: a
+    # declared count must not size an allocation (10**12 entries would not
+    # fit) when the body may hold fewer.
+    rows, cols = array("q"), array("q")
+    vals = None if field == "pattern" else array("d")
+    for line in lines:
+        if len(rows) >= nnz:
+            raise MatrixMarketError(f"more entries than declared in {path}")
+        tok = line.split()
+        if len(tok) < 2:
+            raise MatrixMarketError(
+                f"missing column index on line {line!r} of {path}"
+            )
+        try:
+            rows.append(int(tok[0]) - 1)
+            cols.append(int(tok[1]) - 1)
+        except OverflowError:
+            raise MatrixMarketError(
+                f"index out of range on line {line!r} of {path}"
+            ) from None
+        if vals is not None:
+            if len(tok) < 3:
+                raise MatrixMarketError(
+                    f"missing value on line {line!r} of {path}"
+                )
+            vals.append(float(tok[2]))
+    if len(rows) != nnz:
+        raise MatrixMarketError(
+            f"{path} declares {nnz} entries but contains {len(rows)}"
+        )
+    return (
+        np.frombuffer(rows, dtype=np.int64),
+        np.frombuffer(cols, dtype=np.int64),
+        None if vals is None else np.frombuffer(vals, dtype=np.float64),
+    )
 
 
 def write_matrix_market(path: str | Path, coo: COOMatrix) -> None:

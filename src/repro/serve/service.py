@@ -1,7 +1,9 @@
 """The thread-safe format-advisor service.
 
-:class:`AdvisorService` wraps the tuning loop of
-:mod:`repro.core.selection` into a long-lived, concurrent, cached service:
+:class:`AdvisorService` wraps the paper's model-based tuning loop (ranking
+candidates by their batched model predictions,
+:meth:`repro.machine.batch.MatrixProgram.predict`) into a long-lived,
+concurrent, cached service:
 
 * **profile once** — the machine profile is calibrated lazily per precision
   and shared (read-only) across every request and thread;
@@ -36,12 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..learn import LearnConfig
 
 from ..core.candidates import FIXED_BLOCK_KINDS, Candidate, candidate_space
+from ..core.models import MODELS, PerformanceModel
 from ..core.profiling import ProfileCache, ProfileStore
-from ..core.selection import evaluate_candidates
 from ..durability.report import set_durability_listener
 from ..engine.events import EventBus
 from ..errors import ModelError, ReproError, ServiceUnavailableError
 from ..formats.coo import COOMatrix
+from ..machine.batch import MatrixProgram
 from ..machine.machine import MachineModel
 from ..machine.presets import get_preset
 from ..resilience.faults import current_plan, fault_point
@@ -491,7 +494,7 @@ class AdvisorService:
             deadline.check("admission")
         coo = resolve_matrix(matrix)
         precision = Precision.coerce(options.precision)
-        profile, token = self._profile_and_token(precision)
+        _, token = self._profile_and_token(precision)
         fingerprint = matrix_fingerprint(coo)
         breaker = self._breaker(precision)
         if deadline is not None:
@@ -572,21 +575,22 @@ class AdvisorService:
             if deadline is not None:
                 deadline.check("prune")
 
+            model = MODELS[options.model]
             timings: dict[str, float] = {}
-            results = evaluate_candidates(
+            program = MatrixProgram(
                 coo,
                 self.machine,
-                precision,
-                candidates=pool,
-                models=(options.model,),
-                profile=profile,
-                run_simulation=False,
-                nthreads=options.nthreads,
+                pool,
+                profile_cache=self.profile_cache,
                 timings=timings,
+                clock=time.perf_counter,
+            )
+            results = program.predict(
+                precision, options.nthreads, pool, models=(model.name,)
             )
             if deadline is not None:
                 deadline.check("evaluate")
-            ranking = _rank(results, options.model)
+            ranking = _rank(results, model)
         except Exception:
             if breaker.record_failure() == "open":
                 self.bus.emit(
@@ -751,16 +755,14 @@ class AdvisorService:
         return snap
 
 
-def _rank(results, model_name: str) -> list[RankedCandidate]:
+def _rank(results, model: PerformanceModel) -> list[RankedCandidate]:
     """Rank evaluated candidates by the model's own prediction.
 
     Same pool semantics as :func:`repro.core.selection.select_with_model`:
     fixed-size blockings only, and the implementation-blind MEM model
     defaults to the scalar kernels.
     """
-    from ..core.models import MODELS
-
-    model = MODELS[model_name]
+    model_name = model.name
     pool = [
         r
         for r in results

@@ -179,6 +179,135 @@ class TestMatrixProgramEquivalence:
         assert batched.predictions == plain.predictions
 
 
+def _assert_same_predictions(got, want) -> None:
+    """``predict``'s cells against ``evaluate_candidates``' — exact."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.candidate == w.candidate
+        assert g.ws_bytes == w.ws_bytes
+        assert g.padding_ratio == w.padding_ratio
+        assert g.n_blocks == w.n_blocks
+        assert g.sim is None
+        # dict == compares the floats exactly (and the covered models).
+        assert g.predictions == w.predictions
+
+
+FULL_SPACE = candidate_space()
+
+
+def _degenerate_coos():
+    empty = np.array([], dtype=np.int64)
+    return {
+        "empty": COOMatrix(9, 7, empty, empty, None),
+        "1x1": COOMatrix(1, 1, [0], [0], None),
+        "dense-row": COOMatrix(
+            5, 40, np.full(40, 2), np.arange(40), None
+        ),
+    }
+
+
+class TestMatrixProgramPredict:
+    """``MatrixProgram.predict`` is the advisor's ranking path: the same
+    predictions as the per-candidate oracle, bit-for-bit, without the
+    simulator."""
+
+    @given(
+        coo=random_coos(),
+        precision=st.sampled_from(["dp", "sp"]),
+        nthreads=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_random_patterns(
+        self, coo, precision, nthreads, machine, profile_cache_both
+    ):
+        program = MatrixProgram(
+            coo, machine, FULL_SPACE, profile_cache=profile_cache_both
+        )
+        _assert_same_predictions(
+            program.predict(
+                precision, nthreads, FULL_SPACE, models=MODEL_NAMES
+            ),
+            evaluate_candidates(
+                coo, machine, precision, candidates=FULL_SPACE,
+                models=MODEL_NAMES, profile_cache=profile_cache_both,
+                run_simulation=False, nthreads=nthreads,
+            ),
+        )
+
+    @pytest.mark.parametrize("name", sorted(_degenerate_coos()))
+    def test_degenerate_patterns(self, name, machine, profile_cache_both):
+        coo = _degenerate_coos()[name]
+        program = MatrixProgram(
+            coo, machine, FULL_SPACE, profile_cache=profile_cache_both
+        )
+        for precision in ("sp", "dp"):
+            for nthreads in (1, 2, 4):
+                _assert_same_predictions(
+                    program.predict(
+                        precision, nthreads, FULL_SPACE, models=MODEL_NAMES
+                    ),
+                    evaluate_candidates(
+                        coo, machine, precision, candidates=FULL_SPACE,
+                        models=MODEL_NAMES, profile_cache=profile_cache_both,
+                        run_simulation=False, nthreads=nthreads,
+                    ),
+                )
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "name", ["dense", "pwtk", "stomach", "gearbox", "largebasis", "rail4284"]
+    )
+    def test_suite_matrices(self, name, machine, profile_cache_both):
+        from repro.matrices.suite import get_entry
+
+        coo = get_entry(name).build()
+        program = MatrixProgram(
+            coo, machine, FULL_SPACE, profile_cache=profile_cache_both
+        )
+        fmt_cache: dict = {}
+        for precision in ("sp", "dp"):
+            for nthreads in (1, 2, 4):
+                _assert_same_predictions(
+                    program.predict(
+                        precision, nthreads, FULL_SPACE, models=MODEL_NAMES
+                    ),
+                    evaluate_candidates(
+                        coo, machine, precision, candidates=FULL_SPACE,
+                        models=MODEL_NAMES, profile_cache=profile_cache_both,
+                        run_simulation=False, nthreads=nthreads,
+                        fmt_cache=fmt_cache,
+                    ),
+                )
+
+    def test_leaves_no_reference_cycle(
+        self, machine, profile_cache_both, small_coo
+    ):
+        """With the cyclic GC off, every planned format dies with the
+        program: ``predict`` hangs no plan (or anything pointing back) on
+        a format, and reads no lazy index values."""
+        import gc
+        import weakref
+
+        gc.disable()
+        try:
+            program = MatrixProgram(
+                small_coo, machine, FULL_SPACE,
+                profile_cache=profile_cache_both,
+            )
+            program.predict("dp", 2, FULL_SPACE, models=MODEL_NAMES)
+            fmts = list(program.fmt_cache.values())
+            assert not any("_sim_plans" in f.__dict__ for f in fmts)
+            assert not any(
+                "_lazy_values" in part.__dict__
+                for f in fmts for part in f.submatrices()
+            )
+            refs = [weakref.ref(f) for f in fmts]
+            del program, fmts
+            assert [r for r in refs if r() is not None] == []
+        finally:
+            gc.enable()
+
+
 class TestPlanMemoCap:
     def test_lru_eviction_and_refresh(self, machine, small_coo):
         fmt = build_candidate(small_coo, Candidate("csr", None, Impl.SCALAR))

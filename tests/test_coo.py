@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import FormatError, ShapeMismatchError
 from repro.formats import COOMatrix
+from repro.formats.coo import _canonicalise
 
 from .conftest import make_random_coo
 
@@ -122,3 +125,68 @@ class TestBehaviour:
     def test_padding_is_zero(self, small_coo):
         assert small_coo.padding == 0
         assert small_coo.padding_ratio == 1.0
+
+
+def _lexsort_canonicalise(nrows, ncols, rows, cols, values):
+    """The reference: lexsort by (row, col), then sum duplicate runs."""
+    order = np.lexsort((cols, rows))
+    rows, cols = rows[order], cols[order]
+    values = None if values is None else values[order]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    if values is not None:
+        summed = np.zeros(int(keep.sum()), dtype=np.float64)
+        np.add.at(summed, np.cumsum(keep) - 1, values)
+        values = summed
+    return rows[keep], cols[keep], values
+
+
+#: Shapes up to one whose ``nrows * ncols`` overflows int64 (the lexsort
+#: fallback); indices are drawn from the first few rows and columns.
+_SHAPES = [(1, 1), (3, 7), (64, 2), (2**31, 2**31), (2**32, 2**32), (2**62, 3)]
+
+
+class TestKeySortCanonicalise:
+    @given(
+        shape=st.sampled_from(_SHAPES),
+        n=st.integers(1, 200),
+        spread=st.integers(1, 12),
+        seed=st.integers(0, 2**31 - 1),
+        with_values=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort_reference(
+        self, shape, n, spread, seed, with_values
+    ):
+        nrows, ncols = shape
+        rng = np.random.default_rng(seed)
+        # A small index range makes duplicate coordinates common.
+        rows = rng.integers(0, min(nrows, spread), n)
+        cols = rng.integers(0, min(ncols, spread), n)
+        if rng.random() < 0.3:  # touch the far corner of the shape
+            rows[0], cols[0] = nrows - 1, ncols - 1
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        values = values if with_values else None
+        got = _canonicalise(nrows, ncols, rows, cols, values)
+        want = _lexsort_canonicalise(nrows, ncols, rows, cols, values)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.dtype == w.dtype == np.int64
+            assert np.array_equal(g, w)
+        if with_values:
+            # Duplicate sums must be bit-equal, not merely close.
+            assert got[2].view(np.uint64).tolist() == (
+                want[2].view(np.uint64).tolist()
+            )
+        else:
+            assert got[2] is None
+
+    def test_overflowing_shape_takes_the_lexsort_fallback(self, monkeypatch):
+        calls = []
+        real = np.lexsort
+        monkeypatch.setattr(
+            np, "lexsort", lambda keys: calls.append(1) or real(keys)
+        )
+        COOMatrix(2**40, 2**40, [5, 1], [3, 2**39], [1.0, 2.0])
+        assert calls == [1]
+        COOMatrix(2**31, 2**31, [5, 1], [3, 2**30], [1.0, 2.0])
+        assert calls == [1]

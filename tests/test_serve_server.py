@@ -212,6 +212,30 @@ class TestAdviseEndpoint:
         status, payload = _post(server, b"")
         assert status == 400
 
+    def test_short_data_line_400(self, server):
+        status, payload = _post(server, {"matrix_market": (
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "3 3 2\n1 2\n3\n"
+        )})
+        assert status == 400
+        assert "'3'" in payload["error"]
+
+    def test_index_beyond_int64_400(self, server):
+        status, payload = _post(server, {"matrix_market": (
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "3 3 1\n99999999999999999999 1\n"
+        )})
+        assert status == 400
+        assert "99999999999999999999" in payload["error"]
+
+    def test_huge_declared_count_400(self, server):
+        status, payload = _post(server, {"matrix_market": (
+            "%%MatrixMarket matrix coordinate pattern general\n"
+            "3 3 1000000000000\n1 1\n"
+        )})
+        assert status == 400
+        assert "1000000000000" in payload["error"]
+
 
 def _raw_request(server, request_bytes):
     """Send raw bytes and return the full response (for broken framing)."""
