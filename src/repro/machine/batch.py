@@ -24,7 +24,10 @@ the count of nonzeros per block is the single C-level sparse product
 ``R_r @ A @ C_c`` where ``A`` is the 0/1 pattern in CSR and ``R_r`` /
 ``C_c`` are the row/column aggregation maps; diagonal blockings coarsen a
 column-shifted pattern (``d = col - row``) the same way, and ``R_r @ A``
-is shared across widths of one height.  Index values (block columns,
+is shared across widths of one height; a composite height is built by
+grouping the coarse rows of a height that divides it.  The maps and the
+guard live in :mod:`repro.formats.coarsen`, shared with the advisor's
+feature probes.  Index values (block columns,
 diagonal starts, decomposition-remainder columns) are materialized
 *lazily* on first access, reproducing the per-call converters' arrays
 bit-for-bit.  The decomposed variants' CSR remainders are derived
@@ -63,7 +66,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse as _sp
 
 from ..core.candidates import Candidate, unique_structures
 from ..core.selection import CandidateResult, build_candidate
@@ -71,6 +73,13 @@ from ..errors import ModelError
 from ..formats.base import SparseFormat
 from ..formats.bcsd import BCSDMatrix
 from ..formats.bcsr import BCSRMatrix
+from ..formats.coarsen import (
+    coarsen_rows,
+    column_groups,
+    pattern_csr,
+    shifted_pattern,
+    worth_coarsening,
+)
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
 from ..formats.decomposed import DecomposedMatrix
@@ -84,9 +93,6 @@ __all__ = ["plan_structures", "MatrixProgram"]
 #: Model names whose batched predictors this module implements.
 _MODEL_NAMES = ("mem", "memcomp", "overlap")
 _PROFILED_MODELS = ("memcomp", "overlap")
-
-#: Pattern sizes must fit scipy's 32-bit index machinery comfortably.
-_INT32_LIMIT = 2**31
 
 
 # --------------------------------------------------------------------------- #
@@ -343,9 +349,9 @@ def plan_structures(
     """
     structures = list(dict.fromkeys(structures))
     out: dict[tuple, SparseFormat] = {}
-    if coo.nnz == 0 or max(coo.nrows, coo.ncols, coo.nnz) >= _INT32_LIMIT:
-        # Degenerate or >int32 patterns: nothing to coarsen (or scipy's
-        # 32-bit fast path is off the table); defer to the per-structure
+    if not worth_coarsening(coo.nrows, coo.ncols, coo.nnz):
+        # Empty, >int32 or hypersparse patterns: nothing to coarsen, or
+        # maps far larger than the pattern; defer to the per-structure
         # builders (identical by construction).
         for kind, block in structures:
             out[(kind, block)] = build_candidate(
@@ -372,51 +378,22 @@ def plan_structures(
 
     # ---- coarsen: one sparse matmat per blocking, R_r @ A shared ---------- #
     coarse: dict[tuple, _Coarse] = {}
-    if rect_shapes or diag_sizes:
-        ones = np.ones(n, dtype=np.int32)
-        indptr32 = row_ptr.astype(np.int32)
-        A = _sp.csr_matrix(
-            (ones, cols.astype(np.int32), indptr32),
-            shape=(nrows, ncols), copy=False,
+    if rect_shapes:
+        by_height = coarsen_rows(
+            pattern_csr(coo, row_ptr), {r for r, _ in rect_shapes}
         )
-        heights = {r for r, _ in rect_shapes if r > 1} | {
-            b for b in diag_sizes if b > 1
+        group = {
+            c: column_groups(ncols, c) for c in {c for _, c in rect_shapes}
+            if c > 1
         }
-        row_ones = np.ones(nrows, dtype=np.int32)
-        row_idx = np.arange(nrows, dtype=np.int32)
-        aggregate = {}
-        for h in heights:
-            n_h = -(-nrows // h)
-            ptr = np.minimum(
-                np.arange(n_h + 1, dtype=np.int64) * h, nrows
-            ).astype(np.int32)
-            aggregate[h] = _sp.csr_matrix(
-                (row_ones, row_idx, ptr), shape=(n_h, nrows), copy=False
-            )
-        if rect_shapes:
-            col_ones = np.ones(ncols, dtype=np.int32)
-            col_ptr = np.arange(ncols + 1, dtype=np.int32)
-            group = {}
-            for c in {c for _, c in rect_shapes if c > 1}:
-                group[c] = _sp.csr_matrix(
-                    (col_ones, (np.arange(ncols, dtype=np.int32) // c), col_ptr),
-                    shape=(ncols, -(-ncols // c)), copy=False,
-                )
-            for r in sorted({r for r, _ in rect_shapes}):
-                coarse_rows = (aggregate[r] @ A) if r > 1 else A
-                for c in sorted({c for rr, c in rect_shapes if rr == r}):
-                    mat = (coarse_rows @ group[c]) if c > 1 else coarse_rows
-                    coarse[("rect", (r, c))] = _Coarse(mat)
-        if diag_sizes:
-            # Shift columns so every diagonal gets its own coarse column:
-            # block (segment s, diagonal d) <-> entry (s, d + nrows - 1).
-            shifted = _sp.csr_matrix(
-                (ones, (cols - rows + (nrows - 1)).astype(np.int32), indptr32),
-                shape=(nrows, nrows + ncols - 1), copy=False,
-            )
-            for b in sorted(diag_sizes):
-                mat = (aggregate[b] @ shifted) if b > 1 else shifted
-                coarse[("diag", b)] = _Coarse(mat)
+        for r, c in sorted(rect_shapes):
+            mat = by_height[r] @ group[c] if c > 1 else by_height[r]
+            coarse[("rect", (r, c))] = _Coarse(mat)
+    if diag_sizes:
+        # Block (segment s, diagonal d) <-> entry (s, d + nrows - 1).
+        by_size = coarsen_rows(shifted_pattern(coo, row_ptr), diag_sizes)
+        for b in sorted(diag_sizes):
+            coarse[("diag", b)] = _Coarse(by_size[b])
     if now:
         t0 = charge("stats", t0)
 
@@ -576,11 +553,6 @@ class MatrixProgram:
                 self._timings.get(phase, 0.0) + self._clock() - t0
             )
 
-    def _plan(self, cand: Candidate, precision: Precision) -> SimPlan:
-        return get_plan(
-            self.fmt_cache[(cand.kind, cand.block)], self.machine, precision
-        )
-
     def _zero_misses(self, cand: Candidate, plan: SimPlan) -> bool:
         """Whole-matrix form of the plan's exact x-miss shortcuts.
 
@@ -628,7 +600,8 @@ class MatrixProgram:
                 f"for machine {machine.name!r}"
             )
         t0 = self._clock() if self._clock else 0.0
-        plans = [self._plan(cand, precision) for cand in candidates]
+        fmts = [self.fmt_cache[(c.kind, c.block)] for c in candidates]
+        plans = [get_plan(fmt, machine, precision) for fmt in fmts]
         ncells = len(plans)
         costs = machine.costs
 
@@ -698,8 +671,8 @@ class MatrixProgram:
             CandidateResult(
                 candidate=cand,
                 ws_bytes=plan.ws,
-                padding_ratio=plan.fmt.padding_ratio,
-                n_blocks=plan.fmt.n_blocks,
+                padding_ratio=fmt.padding_ratio,
+                n_blocks=fmt.n_blocks,
                 sim=SimResult(
                     t_total=float(t_total[j]),
                     t_mem=float(t_mem[j]),
@@ -713,7 +686,7 @@ class MatrixProgram:
                     impl=cand.impl,
                 ),
             )
-            for j, (cand, plan) in enumerate(zip(candidates, plans))
+            for j, (cand, plan, fmt) in enumerate(zip(candidates, plans, fmts))
         ]
         models = tuple(models)
         if models:

@@ -38,6 +38,7 @@ early exit settles the resident case in one linear pass.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,8 +150,11 @@ class SimPlan:
     Build once, then :meth:`run` every (impl, nthreads) cell; structure-
     dependent intermediates are computed on first use and shared across
     cells.  Not thread-safe (the sweep is process-parallel, not
-    thread-parallel); plans hold a reference to the machine and the format
-    and are never pickled.
+    thread-parallel); plans hold a reference to the machine and are never
+    pickled.  The format is held weakly: :func:`get_plan` stores the plan
+    on the format, so a strong back-reference would make a cycle that
+    keeps every planned format (and its index arrays) alive until the
+    cyclic GC runs.  A plan is only usable while its format is alive.
     """
 
     def __init__(
@@ -159,12 +163,15 @@ class SimPlan:
         machine: MachineModel,
         precision: Precision | str = Precision.DP,
     ) -> None:
-        self.fmt = fmt
+        self._fmt = weakref.ref(fmt)
         self.machine = machine
         self.precision = Precision.coerce(precision)
         self.ws = fmt.working_set(self.precision)
-        self.parts = tuple(fmt.submatrices())
-        if len(self.parts) > 1:
+        parts = tuple(fmt.submatrices())
+        # A non-decomposed format is its own single part: keep that one
+        # weak too.  The parts of a decomposition do not point back.
+        self._parts = None if len(parts) == 1 and parts[0] is fmt else parts
+        if len(parts) > 1:
             # Decomposed methods lose streaming efficiency to their multiple
             # passes (paper Section III); the loss scales with how balanced
             # the decomposition is.
@@ -174,7 +181,7 @@ class SimPlan:
                     + p.vector_bytes(self.precision)
                 )
                 / self.ws
-                for p in self.parts
+                for p in parts
             ]
             self.mem_factor: float | None = machine.decomposition_mem_factor(
                 shares
@@ -188,10 +195,21 @@ class SimPlan:
         )
         # Pass start-up work (pointer setup, prefetch retrain) cannot overlap.
         self.startup = machine.costs.pass_startup_cycles * max(
-            len(self.parts) - 1, 0
+            len(parts) - 1, 0
         )
         self._prefix: dict[tuple[int, Impl], np.ndarray] = {}
         self._misses: int | None = None
+
+    @property
+    def fmt(self) -> SparseFormat:
+        fmt = self._fmt()
+        if fmt is None:
+            raise ModelError("the plan's format no longer exists")
+        return fmt
+
+    @property
+    def parts(self) -> tuple[SparseFormat, ...]:
+        return (self.fmt,) if self._parts is None else self._parts
 
     # ------------------------------------------------------------------ #
     def segment_sums(

@@ -1,16 +1,26 @@
 """Cheap structural features of a sparse pattern, computed once per matrix.
 
-Exhaustively evaluating the tuning space converts a matrix into ~53 distinct
-blocked structures, each a full :func:`~repro.formats.blockstats` analysis —
-seconds per matrix.  The advisor instead extracts a small feature bundle
-first and prunes the space with it, so the feature pass must be an order of
-magnitude cheaper than the evaluation it replaces.  Two tricks get it there:
+Evaluating the whole tuning space plans ~53 distinct blocked structures
+and runs the models on ~105 candidates.  The advisor instead extracts a
+small feature bundle first and prunes the space with it, so the feature
+pass must stay cheap next to the evaluation it prunes.  Three tricks get it
+there:
 
 * **Probing, not enumerating** — block occupancy ("fill") is measured only
   for 1-D row groups (``r x 1``), 1-D column runs (``1 x c``), a few square
   2-D probes and a few diagonal sizes; the fill of an arbitrary ``r x c``
   block is *estimated* from the 1-D fills via an independence model that the
   2-D probes calibrate (see :meth:`MatrixFeatures.est_rect_fill`).
+* **Counting, not analysing** — a probe needs only two integers of its
+  blocking: the number of blocks and the number of full ones.  Both come
+  from the sparse coarsening the fused planner uses
+  (:mod:`repro.formats.coarsen`): one C-level product per probe, composite
+  heights built from the coarse rows of a divisor, and column runs from a
+  linear pass per width.  Every feature is an integer ratio of those
+  counts, so it equals the :mod:`~repro.formats.blockstats` definition bit
+  for bit.  A pattern past the coarsening guard (too large for 32-bit
+  indices, or with far more rows and columns than nonzeros) keeps the
+  per-nonzero BlockStats probes.
 * **Panel sampling** — on large matrices the probes run on a few
   block-aligned row panels (~240k nonzeros total) instead of the full
   pattern.  Panels start and end on rows divisible by every probed block
@@ -30,6 +40,13 @@ from hashlib import sha256
 import numpy as np
 
 from ..formats.blockstats import bcsd_block_stats, bcsr_block_stats
+from ..formats.coarsen import (
+    coarsen_rows,
+    column_groups,
+    pattern_csr,
+    shifted_pattern,
+    worth_coarsening,
+)
 from ..formats.coo import COOMatrix
 from ..matrices.stats import fill_of, full_block_fraction, run_lengths
 
@@ -256,6 +273,86 @@ def _sample_panels(
     return sample, True
 
 
+def _count_probes(sample: COOMatrix) -> dict[str, dict]:
+    """Every probe from block counts, by sparse coarsening.
+
+    Each value is an integer ratio of counts, so it equals the BlockStats
+    definition bit for bit: fill is ``n / (blocks * elems)`` and the full
+    fraction ``full_blocks * elems / n``.  Row groups and diagonals count
+    the entries of ``R_h @ A`` and ``R_b @ shifted``, the 2-D probes those
+    of ``(R_r @ A) @ C_c``; column runs (``r = 1``) need no product, since
+    in canonical order a block starts wherever the row or ``col // c``
+    changes.
+    """
+    n = sample.nnz
+    if n == 0:
+        return {
+            "row_fill": dict.fromkeys(ROW_PROBES, 1.0),
+            "col_fill": dict.fromkeys(COL_PROBES, 1.0),
+            "diag_fill": dict.fromkeys(DIAG_PROBES, 1.0),
+            "diag_full_frac": dict.fromkeys(DIAG_PROBES, 0.0),
+            "rect_fill": dict.fromkeys(RECT_PROBES, 1.0),
+            "rect_full_frac": dict.fromkeys(RECT_PROBES, 0.0),
+        }
+    rows, cols = sample.rows, sample.cols
+    row_ptr = np.zeros(sample.nrows + 1, dtype=np.int64)
+    np.cumsum(sample.row_counts(), out=row_ptr[1:])
+    by_height = coarsen_rows(
+        pattern_csr(sample, row_ptr),
+        set(ROW_PROBES) | {r for r, _ in RECT_PROBES},
+    )
+    by_size = coarsen_rows(shifted_pattern(sample, row_ptr), DIAG_PROBES)
+    new_row = rows[1:] != rows[:-1]
+
+    def col_blocks(c: int) -> int:
+        group = cols // c
+        return 1 + int(np.count_nonzero(new_row | (group[1:] != group[:-1])))
+
+    def full_frac(counts, elems: int) -> float:
+        return int(np.count_nonzero(counts.data == elems)) * elems / n
+
+    rect = {
+        (r, c): by_height[r] @ column_groups(sample.ncols, c)
+        for r, c in RECT_PROBES
+    }
+    return {
+        "row_fill": {r: n / (by_height[r].nnz * r) for r in ROW_PROBES},
+        "col_fill": {c: n / (col_blocks(c) * c) for c in COL_PROBES},
+        "diag_fill": {b: n / (by_size[b].nnz * b) for b in DIAG_PROBES},
+        "diag_full_frac": {b: full_frac(by_size[b], b) for b in DIAG_PROBES},
+        "rect_fill": {
+            (r, c): n / (m.nnz * r * c) for (r, c), m in rect.items()
+        },
+        "rect_full_frac": {
+            (r, c): full_frac(m, r * c) for (r, c), m in rect.items()
+        },
+    }
+
+
+def _blockstats_probes(sample: COOMatrix) -> dict[str, dict]:
+    """Every probe through the per-nonzero BlockStats analysis: O(nnz),
+    for patterns past the coarsening guard (int32, or far more rows and
+    columns than nonzeros)."""
+    diag = {b: bcsd_block_stats(sample, b) for b in DIAG_PROBES}
+    rect = {(r, c): bcsr_block_stats(sample, r, c) for r, c in RECT_PROBES}
+    return {
+        "row_fill": {
+            r: fill_of(bcsr_block_stats(sample, r, 1)) for r in ROW_PROBES
+        },
+        "col_fill": {
+            c: fill_of(bcsr_block_stats(sample, 1, c)) for c in COL_PROBES
+        },
+        "diag_fill": {b: fill_of(st) for b, st in diag.items()},
+        "diag_full_frac": {
+            b: full_block_fraction(st) for b, st in diag.items()
+        },
+        "rect_fill": {rc: fill_of(st) for rc, st in rect.items()},
+        "rect_full_frac": {
+            rc: full_block_fraction(st) for rc, st in rect.items()
+        },
+    }
+
+
 def extract_features(coo: COOMatrix) -> MatrixFeatures:
     """Compute the advisor feature bundle for one pattern."""
     t0 = time.perf_counter()
@@ -275,24 +372,12 @@ def extract_features(coo: COOMatrix) -> MatrixFeatures:
     )
 
     sample, sampled = _sample_panels(coo)
-    row_fill = {
-        r: fill_of(bcsr_block_stats(sample, r, 1)) for r in ROW_PROBES
-    }
-    col_fill = {
-        c: fill_of(bcsr_block_stats(sample, 1, c)) for c in COL_PROBES
-    }
-    diag_fill: dict[int, float] = {}
-    diag_full_frac: dict[int, float] = {}
-    for b in DIAG_PROBES:
-        stats = bcsd_block_stats(sample, b)
-        diag_fill[b] = fill_of(stats)
-        diag_full_frac[b] = full_block_fraction(stats)
-    rect_fill: dict[tuple[int, int], float] = {}
-    rect_full_frac: dict[tuple[int, int], float] = {}
-    for r, c in RECT_PROBES:
-        stats = bcsr_block_stats(sample, r, c)
-        rect_fill[(r, c)] = fill_of(stats)
-        rect_full_frac[(r, c)] = full_block_fraction(stats)
+    if sample.nnz and not worth_coarsening(
+        sample.nrows, sample.ncols, sample.nnz
+    ):
+        probes = _blockstats_probes(sample)
+    else:
+        probes = _count_probes(sample)
 
     return MatrixFeatures(
         fingerprint=matrix_fingerprint(coo),
@@ -309,10 +394,5 @@ def extract_features(coo: COOMatrix) -> MatrixFeatures:
         sampled=sampled,
         sample_nnz=sample.nnz,
         extract_s=time.perf_counter() - t0,
-        row_fill=row_fill,
-        col_fill=col_fill,
-        diag_fill=diag_fill,
-        diag_full_frac=diag_full_frac,
-        rect_fill=rect_fill,
-        rect_full_frac=rect_full_frac,
+        **probes,
     )

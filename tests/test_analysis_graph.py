@@ -4,9 +4,9 @@ Covers the :mod:`repro.analysis.project` call-graph edge cases (aliased
 imports, ``self`` dispatch, decorated functions), fixpoint termination on
 recursive call cycles, positive + negative fixtures for every v2 rule
 family (numeric-safety, lock-order, stats-contract, interprocedural
-lock-discipline, unused-suppression), and the three seeded-injection
-tests the PR's acceptance criteria pin: an int32-narrowing edit in the
-real ``machine/batch.py``, an inverted lock order mirroring
+lock-discipline, unused-suppression), and three seeded-injection
+tests: an int32-narrowing edit in the real ``formats/coarsen.py`` (the
+planner's coarsening maps), an inverted lock order mirroring
 ``fleet/supervisor.py``, and a renamed stats key in the real fleet
 fan-in — each must produce exactly the expected finding.
 """
@@ -755,15 +755,15 @@ class TestUnusedSuppression:
 
 
 class TestSeededInjections:
-    def test_int32_narrowing_edit_in_batch_is_caught(self):
-        rel = "src/repro/machine/batch.py"
+    def test_int32_narrowing_edit_in_coarsen_is_caught(self):
+        rel = "src/repro/formats/coarsen.py"
         pristine = (REPO_ROOT / rel).read_text()
         seeded = pristine.replace(
             "np.arange(n_h + 1, dtype=np.int64) * h",
             "np.arange(n_h + 1, dtype=np.int32) * h",
         )
         assert seeded != pristine, "injection site moved; update the test"
-        rule = NumericSafetyRule({"model-paths": ["src/repro/machine"]})
+        rule = NumericSafetyRule({"model-paths": ["src/repro/formats"]})
 
         clean = rule.check_project(build_project({
             rel: FileContext(REPO_ROOT / rel, rel, pristine)

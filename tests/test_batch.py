@@ -10,6 +10,10 @@ float.  All comparisons here are exact (``==`` on dataclasses, dtype-aware
 
 from __future__ import annotations
 
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,7 @@ from repro.bench.harness import (
 from repro.core.candidates import Candidate, candidate_space, unique_structures
 from repro.core.profiling import ProfileCache
 from repro.core.selection import AutoTuner, build_candidate, evaluate_candidates
+from repro.errors import ModelError
 from repro.formats.coo import COOMatrix
 from repro.machine.batch import MatrixProgram, plan_structures
 from repro.machine.plan import MAX_PLANS_PER_FORMAT, get_plan
@@ -106,6 +111,24 @@ class TestPlanStructures:
     def test_empty_matrix_falls_back(self):
         coo = COOMatrix(8, 8, np.array([], dtype=np.int64),
                         np.array([], dtype=np.int64), None)
+        fused = plan_structures(coo, STRUCTURES)
+        for kind, block in STRUCTURES:
+            assert_same_format(
+                fused[(kind, block)],
+                build_candidate(coo, Candidate(kind, block, Impl.SCALAR)),
+            )
+
+    def test_hypersparse_pattern_skips_coarsening(self, monkeypatch):
+        """Three rows by a million columns around one nonzero: coarsening
+        maps would be O(ncols), so the per-structure builders run."""
+        import repro.machine.batch as batch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("coarsened a hypersparse pattern")
+
+        monkeypatch.setattr(batch, "pattern_csr", refuse)
+        monkeypatch.setattr(batch, "shifted_pattern", refuse)
+        coo = COOMatrix(3, 2**20, [1], [2**20 - 1], None)
         fused = plan_structures(coo, STRUCTURES)
         for kind, block in STRUCTURES:
             assert_same_format(
@@ -285,11 +308,7 @@ class TestMatrixProgramPredict:
         """With the cyclic GC off, every planned format dies with the
         program: ``predict`` hangs no plan (or anything pointing back) on
         a format, and reads no lazy index values."""
-        import gc
-        import weakref
-
-        gc.disable()
-        try:
+        with _gc_disabled():
             program = MatrixProgram(
                 small_coo, machine, FULL_SPACE,
                 profile_cache=profile_cache_both,
@@ -304,8 +323,58 @@ class TestMatrixProgramPredict:
             refs = [weakref.ref(f) for f in fmts]
             del program, fmts
             assert [r for r in refs if r() is not None] == []
-        finally:
-            gc.enable()
+
+
+@contextmanager
+def _gc_disabled():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestPlansLeaveNoReferenceCycle:
+    """A :class:`SimPlan` is memoised on its format; it must not point
+    back strongly, or every planned format (index arrays, x streams)
+    outlives its last user until the cyclic GC happens to run."""
+
+    def test_evaluate(self, machine, profile_cache_both, small_coo):
+        with _gc_disabled():
+            program = MatrixProgram(
+                small_coo, machine, FULL_SPACE,
+                profile_cache=profile_cache_both,
+            )
+            for precision in ("sp", "dp"):
+                program.evaluate(
+                    precision, 2, FULL_SPACE, models=MODEL_NAMES
+                )
+            fmts = list(program.fmt_cache.values())
+            assert all("_sim_plans" in f.__dict__ for f in fmts)
+            refs = [weakref.ref(f) for f in fmts]
+            del program, fmts
+            assert [r for r in refs if r() is not None] == []
+
+    @pytest.mark.parametrize(
+        "kind,block",
+        [("csr", None), ("bcsr", (2, 2)), ("bcsr_dec", (2, 3)),
+         ("bcsd", 4), ("bcsd_dec", 2), ("vbl", None)],
+    )
+    def test_per_cell_plan(self, kind, block, machine, small_coo):
+        with _gc_disabled():
+            fmt = build_candidate(small_coo, Candidate(kind, block, Impl.SCALAR))
+            for nthreads in (1, 2):
+                get_plan(fmt, machine, "dp").run(Impl.SCALAR, nthreads)
+            ref = weakref.ref(fmt)
+            del fmt
+            assert ref() is None
+
+    def test_plan_of_a_freed_format_refuses_to_run(self, machine, small_coo):
+        fmt = build_candidate(small_coo, Candidate("csr", None, Impl.SCALAR))
+        plan = get_plan(fmt, machine, "dp")
+        del fmt
+        with pytest.raises(ModelError, match="no longer exists"):
+            plan.run(Impl.SCALAR, 1)
 
 
 class TestPlanMemoCap:
