@@ -12,6 +12,9 @@ a complete (or explicitly partial) :class:`~repro.bench.harness.SweepResult`:
 4. **Retry / quarantine** — a failed shard is retried with bounded
    exponential backoff; after ``max_retries`` retries it is quarantined
    and reported in ``SweepResult.missing`` instead of crashing the sweep.
+   A worker that dies (SIGKILL, the OOM killer) breaks the whole pool:
+   every shard in flight is charged one attempt, and those that may retry
+   run again on a fresh pool.
 5. **Assemble** — completed shards are stitched together in suite order,
    so the result is record-for-record identical to the serial
    :func:`~repro.bench.harness.run_sweep` regardless of worker count.
@@ -26,6 +29,7 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable
 
@@ -351,35 +355,48 @@ class SweepEngine:
     ) -> float:
         busy_s = 0.0
         attempts = {t.shard_id: 1 for t in pending}
-        with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-            def submit(task: ShardTask) -> None:
-                self.bus.emit(
-                    "shard_start",
-                    shard=task.shard_id,
-                    matrix=task.name,
-                    attempt=attempts[task.shard_id],
-                )
-                futures[pool.submit(_timed_task, self.task_fn, task)] = task
-
-            futures: dict[Future, ShardTask] = {}
-            for task in pending:
-                submit(task)
-            while futures:
-                done, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in done:
-                    task = futures.pop(future)
-                    attempt = attempts[task.shard_id]
+        while pending:
+            # A dead worker breaks the whole pool: every future in flight
+            # fails with BrokenProcessPool and is charged an attempt, and
+            # retries wait for a fresh pool, as this one refuses submits.
+            rerun: list[ShardTask] = []
+            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+                def submit(task: ShardTask) -> None:
                     try:
-                        matrix, busy = future.result()
-                    except Exception as exc:  # noqa: BLE001
-                        if self._record_failure(task, exc, attempt, failed):
-                            attempts[task.shard_id] = attempt + 1
-                            submit(task)
-                        continue
-                    busy_s += busy
-                    self._record_success(
-                        task, matrix, busy, attempt, completed
+                        future = pool.submit(_timed_task, self.task_fn, task)
+                    except BrokenProcessPool:
+                        rerun.append(task)
+                        return
+                    futures[future] = task
+                    self.bus.emit(
+                        "shard_start",
+                        shard=task.shard_id,
+                        matrix=task.name,
+                        attempt=attempts[task.shard_id],
                     )
+
+                futures: dict[Future, ShardTask] = {}
+                for task in pending:
+                    submit(task)
+                while futures:
+                    done, _ = wait(futures, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        task = futures.pop(future)
+                        attempt = attempts[task.shard_id]
+                        try:
+                            matrix, busy = future.result()
+                        except Exception as exc:  # noqa: BLE001
+                            if self._record_failure(
+                                task, exc, attempt, failed
+                            ):
+                                attempts[task.shard_id] = attempt + 1
+                                submit(task)
+                            continue
+                        busy_s += busy
+                        self._record_success(
+                            task, matrix, busy, attempt, completed
+                        )
+            pending = rerun
         return busy_s
 
 

@@ -86,7 +86,7 @@ from ..formats.decomposed import DecomposedMatrix
 from ..formats.vbl import VBLMatrix
 from ..types import VBL_MAX_BLOCK, BlockShape, Impl, Precision
 from .machine import MachineModel
-from .plan import SimPlan, SimResult, get_plan
+from .plan import SimResult, get_plan
 
 __all__ = ["plan_structures", "MatrixProgram"]
 
@@ -141,14 +141,12 @@ class _Coarse:
 def _full_rows(co: _Coarse, full_count: int) -> tuple[int, np.ndarray]:
     """(number, per-block-row count) of exactly-full blocks.
 
-    Counted by differencing a running sum of the full-block mask at the
-    row-pointer boundaries — no per-block row lookup.
+    Counted by locating the (few) full blocks' positions between the
+    row-pointer boundaries — no pass over every block beyond the mask.
     """
     m = co.mat
-    csum = np.zeros(m.data.shape[0] + 1, dtype=np.int64)
-    np.cumsum(m.data == full_count, out=csum[1:])
-    per_row = csum[m.indptr[1:]] - csum[m.indptr[:-1]]
-    return int(csum[-1]), per_row
+    pos = np.flatnonzero(m.data == full_count)
+    return pos.shape[0], np.diff(np.searchsorted(pos, m.indptr))
 
 
 def _sorted_bcol_thunk(co: _Coarse) -> Callable[[], np.ndarray]:
@@ -398,9 +396,13 @@ def plan_structures(
         t0 = charge("stats", t0)
 
     # ---- assemble the format objects -------------------------------------- #
+    # One object for the plain CSR structure and every decomposition without
+    # a full block, so the part-level memos (partitions, row-cost prefixes,
+    # x-miss counts) are computed once per matrix.
+    whole_csr = CSRMatrix(nrows, ncols, row_ptr, cols, None)
     for kind, block in structures:
         if kind == "csr":
-            out[(kind, block)] = CSRMatrix(nrows, ncols, row_ptr, cols, None)
+            out[(kind, block)] = whole_csr
         elif kind == "vbl":
             out[(kind, block)] = _vbl_fused(coo, nnz_per_row, row_ptr)
         elif kind == "bcsr":
@@ -445,7 +447,7 @@ def plan_structures(
                         n_rest, _rect_rest_thunk(co, rows, cols, r, c),
                     ))
                 else:
-                    parts.append(CSRMatrix(nrows, ncols, row_ptr, cols, None))
+                    parts.append(whole_csr)
             out[(kind, block)] = DecomposedMatrix(
                 nrows, ncols, parts, "bcsr_dec", "BCSR-DEC"
             )
@@ -475,7 +477,7 @@ def plan_structures(
                         n_rest, _diag_rest_thunk(co, rows, cols, b, nrows, ncols),
                     ))
                 else:
-                    parts.append(CSRMatrix(nrows, ncols, row_ptr, cols, None))
+                    parts.append(whole_csr)
             out[(kind, block)] = DecomposedMatrix(
                 nrows, ncols, parts, "bcsd_dec", "BCSD-DEC"
             )
@@ -489,28 +491,6 @@ def plan_structures(
 # --------------------------------------------------------------------------- #
 # The batched cell evaluator
 # --------------------------------------------------------------------------- #
-
-def _x_span(cand: Candidate) -> int | None:
-    """Upper bound on how far past the matrix's largest column index the
-    candidate's x-access streams can reach, or ``None`` for kinds without
-    a known bound.
-
-    Every stream start is anchored at (or below) some stored element's
-    column: CSR/CSR-DU starts *are* element columns, a 1D-VBL run ends on
-    its last element's column, an aligned ``r x c`` block starts at
-    ``(col // c) * c`` and touches ``c`` columns, and a diagonal block of
-    size ``b`` starts at the column of its first stored element or
-    earlier and touches ``b``.  So the largest line id any part's stream
-    can reach is ``(max_col + span - 1) // line_elems``.
-    """
-    if cand.kind in ("csr", "csr_du", "vbl"):
-        return 1
-    if cand.kind in ("bcsr", "bcsr_dec", "ubcsr"):
-        return int(cand.block[1])  # (r, c) tuple or BlockShape
-    if cand.kind in ("bcsd", "bcsd_dec"):
-        return int(cand.block)
-    return None
-
 
 class MatrixProgram:
     """All sweep cells of one matrix as a vectorized array program.
@@ -543,37 +523,12 @@ class MatrixProgram:
         self.fmt_cache = plan_structures(
             coo, unique_structures(candidates), timings=timings, clock=clock
         )
-        # Largest column index any candidate structure can anchor an
-        # x access at — feeds the whole-matrix x-miss shortcut below.
-        self._max_col = int(coo.cols.max()) if coo.nnz else -1
 
     def _charge(self, phase: str, t0: float) -> None:
         if self._clock is not None:
             self._timings[phase] = (
                 self._timings.get(phase, 0.0) + self._clock() - t0
             )
-
-    def _zero_misses(self, cand: Candidate, plan: SimPlan) -> bool:
-        """Whole-matrix form of the plan's exact x-miss shortcuts.
-
-        ``_estimate_part_misses`` returns 0 for every part whenever the
-        budget is non-positive, the stream is empty, or the largest
-        reachable cache line fits the budget — and :func:`_x_span` bounds
-        that largest line for *all* parts of the candidate at once from
-        the matrix's max column.  When the bound holds,
-        ``plan.total_misses()`` is provably 0, so returning 0 without
-        calling it is bit-identical — and never forces a lazily-planned
-        structure to materialize its index values.  When it does not
-        hold (or the kind is unknown), the caller falls back to
-        ``total_misses()`` itself.
-        """
-        if self._max_col < 0 or plan.budget <= 0:
-            return True
-        span = _x_span(cand)
-        if span is None:
-            return False
-        max_line = (self._max_col + span - 1) // plan.line_elems
-        return max_line + 1 <= plan.budget
 
     # ------------------------------------------------------------------ #
     def evaluate(
@@ -638,7 +593,7 @@ class MatrixProgram:
                 idx.append(j)
                 etas.append(machine.eta(part_impl))
                 per_thread.append(
-                    plan.segment_sums(slot, part, part_impl, nthreads)
+                    plan.segment_sums(part, part_impl, nthreads)
                 )
             sel = np.array(idx, dtype=np.int64)
             eta = np.array(etas, dtype=np.float64)[:, None]
@@ -653,12 +608,7 @@ class MatrixProgram:
 
         # --- the latency axis -------------------------------------------- #
         misses = np.array(
-            [
-                0
-                if p.x_resident or self._zero_misses(cand, p)
-                else p.total_misses()
-                for cand, p in zip(candidates, plans)
-            ],
+            [0 if p.x_resident else p.total_misses() for p in plans],
             dtype=np.int64,
         )
         t_lat = misses / nthreads * machine.effective_latency_s()

@@ -5,32 +5,33 @@ impl, threads) cell — up to 12 calls per candidate under the full config —
 and most of what each call computes depends only on the format structure
 and at most the precision:
 
-* the per-part row-cost vectors (``costs.block_row_cycles``) and their
-  prefix sums depend on (structure, effective impl, precision), not the
-  thread count;
-* the balanced row partition depends on (structure, thread count) only —
-  not on precision or machine — so it is memoised on the format part
-  itself and shared by every plan of that structure;
+* the per-part row-cost vectors (``costs.block_row_cycles``), their prefix
+  sums and the x-access miss estimates depend on the part, not on the
+  structure holding it, and the prefix sums not on the thread count;
+* the balanced row partition depends on (part, thread count) only;
 * the decomposition working-set shares and the streaming-loss factor depend
-  on (structure, precision) only;
-* the x-access cache-miss estimate depends on (structure, precision) only.
+  on (structure, precision) only.
 
 A :class:`SimPlan` is built once per (format, machine, precision) and
-memoizes all of the above, so batch-evaluating every (impl, threads) cell
-only redoes the genuinely per-cell arithmetic.  The plan is cached on the
-format object itself (``fmt._sim_plans``), which is how the sweep's shared
-``fmt_cache`` — one structure reused across scalar/SIMD candidates,
-precisions and thread counts — turns into cross-cell reuse.
+memoizes the per-structure terms, so batch-evaluating every (impl,
+threads) cell only redoes the genuinely per-cell arithmetic; the per-part
+terms are memoised on the part, which the fused planner shares between
+structures (one whole-pattern CSR for plain CSR and every decomposition
+without a full block).  The plan is cached on the format object itself
+(``fmt._sim_plans``), which is how the sweep's shared ``fmt_cache`` — one
+structure reused across scalar/SIMD candidates, precisions and thread
+counts — turns into cross-cell reuse.
 
 The plan is **bit-identical** to the historical per-call path: every float
 operation happens with the same operands in the same order, memoization
 only removes recomputation of identical intermediate arrays.  The x-miss
-term additionally short-circuits through an *exact* structural bound
-before touching the element stream: if even the largest reachable cache
-line fits inside the budget, the distinct-line count trivially does too
-(``estimate_stream_misses`` returns 0 whenever ``distinct <= budget``).
-Every other part hands its element stream to the estimator, whose own
-early exit settles the resident case in one linear pass.
+term additionally short-circuits through an *exact* bound: if even the
+largest cache line a part can reach (bounded by its shape without building
+its stream, else by the stream's largest start) fits inside the budget,
+the distinct-line count trivially does too (``estimate_stream_misses``
+returns 0 whenever ``distinct <= budget``).  Every other part hands its
+element stream to the estimator, whose own early exit settles the
+resident case in one linear pass.
 
 ``repro.machine.executor.simulate`` is a thin wrapper over this module;
 ``simulate_reference`` there preserves the original unfactored path.
@@ -99,17 +100,38 @@ def _stream_max_line(stream: XAccessStream, line_elems: int) -> int:
     return max(max_col, 0) // line_elems
 
 
+def _shape_max_col(part: SparseFormat) -> int | None:
+    """Largest x column the part's stream can reach, from its shape alone:
+    CSR, CSR-DU and 1D-VBL touch only stored columns; an aligned ``r x c``
+    block starts at a multiple of ``c`` below ``ncols``; a size-``b``
+    diagonal block starts at or left of its first element's column.
+    ``None`` for kinds without a known bound."""
+    kind, block = part.block_descriptor()
+    if kind in ("csr", "csr_du", "vbl"):
+        return part.ncols - 1
+    if kind == "bcsr":
+        c = block[1]
+        return -(-part.ncols // c) * c - 1
+    if kind == "bcsd":
+        return part.ncols + block - 2
+    return None
+
+
 def _estimate_part_misses(
     part: SparseFormat, line_elems: int, budget: int
 ) -> int:
     if budget <= 0:
         return 0
+    # Exact structural shortcut: estimate_stream_misses returns 0 whenever
+    # the distinct-line count fits the budget, and a max line inside the
+    # budget proves that.  The shape bound does so without building the
+    # stream (or materializing a lazily planned part's index values).
+    max_col = _shape_max_col(part)
+    if max_col is not None and max_col // line_elems + 1 <= budget:
+        return 0
     stream = part.x_access_stream()
     if len(stream) == 0:
         return 0
-    # Exact structural shortcut: estimate_stream_misses returns 0 whenever
-    # the distinct-line count fits the budget, and a max line inside the
-    # budget proves that without materialising the element stream.
     if _stream_max_line(stream, line_elems) + 1 <= budget:
         return 0
     return int(estimate_stream_misses(stream.line_ids(line_elems), budget))
@@ -124,6 +146,23 @@ def _part_misses(part: SparseFormat, line_elems: int, budget: int) -> int:
         misses = _estimate_part_misses(part, line_elems, budget)
         cache[key] = misses
     return misses
+
+
+def _cost_prefix(
+    part: SparseFormat, machine: MachineModel, impl: Impl, precision: Precision
+) -> np.ndarray:
+    """Prefix sums of the part's per-block-row cycles (memoised on it).
+
+    Shared by every plan of every structure holding the part.  The machine
+    is keyed by identity, as in :func:`get_plan`; its entry keeps it alive,
+    so the id cannot be reused.
+    """
+    memo = part.__dict__.setdefault("_cost_prefixes", {})
+    key = (id(machine), impl, precision)
+    if key not in memo:
+        cycles = machine.costs.block_row_cycles(part, impl, precision)
+        memo[key] = (machine, prefix_sums(cycles))
+    return memo[key][1]
 
 
 def _partition(part: SparseFormat, nthreads: int) -> RowPartition:
@@ -197,8 +236,6 @@ class SimPlan:
         self.startup = machine.costs.pass_startup_cycles * max(
             len(parts) - 1, 0
         )
-        self._prefix: dict[tuple[int, Impl], np.ndarray] = {}
-        self._misses: int | None = None
 
     @property
     def fmt(self) -> SparseFormat:
@@ -213,34 +250,25 @@ class SimPlan:
 
     # ------------------------------------------------------------------ #
     def segment_sums(
-        self, i: int, part: SparseFormat, part_impl: Impl, nthreads: int
+        self, part: SparseFormat, part_impl: Impl, nthreads: int
     ) -> np.ndarray:
-        """Per-thread compute cycles of part ``i`` under ``part_impl``.
+        """Per-thread compute cycles of ``part`` under ``part_impl``.
 
         Public because :mod:`repro.machine.batch` stacks these per-cell
         vectors across the candidate axis; the order-sensitive ``cumsum``
-        stays in here, one prefix sum per (part, impl) that every thread
-        count indexes.
+        stays in here, one prefix sum per (part, machine, impl, precision)
+        that every thread count and every structure holding the part
+        indexes.
         """
-        key = (i, part_impl)
-        prefix = self._prefix.get(key)
-        if prefix is None:
-            prefix = prefix_sums(
-                self.machine.costs.block_row_cycles(
-                    part, part_impl, self.precision
-                )
-            )
-            self._prefix[key] = prefix
+        prefix = _cost_prefix(part, self.machine, part_impl, self.precision)
         return _partition(part, nthreads).prefix_segment_sums(prefix)
 
     def total_misses(self) -> int:
-        """x-miss estimate summed over parts (precision-fixed per plan)."""
-        if self._misses is None:
-            self._misses = sum(
-                _part_misses(part, self.line_elems, self.budget)
-                for part in self.parts
-            )
-        return self._misses
+        """x-miss estimate summed over parts (each memoised on its part)."""
+        return sum(
+            _part_misses(part, self.line_elems, self.budget)
+            for part in self.parts
+        )
 
     # ------------------------------------------------------------------ #
     def run(
@@ -266,12 +294,12 @@ class SimPlan:
 
         overlappable_cycles = [0.0] * nthreads
         exposed_cycles = [0.0] * nthreads
-        for i, part in enumerate(self.parts):
+        for part in self.parts:
             # The exposure fraction belongs to the kernel that actually
             # runs: a CSR remainder of a SIMD decomposition stays scalar.
             part_impl = costs.effective_impl(part, impl)
             eta_part = machine.eta(part_impl)
-            per_thread = self.segment_sums(i, part, part_impl, nthreads)
+            per_thread = self.segment_sums(part, part_impl, nthreads)
             for t in range(nthreads):
                 overlappable_cycles[t] += (1.0 - eta_part) * float(per_thread[t])
                 exposed_cycles[t] += eta_part * float(per_thread[t])

@@ -353,8 +353,11 @@ def _blockstats_probes(sample: COOMatrix) -> dict[str, dict]:
     }
 
 
-def extract_features(coo: COOMatrix) -> MatrixFeatures:
-    """Compute the advisor feature bundle for one pattern."""
+def extract_features(
+    coo: COOMatrix, *, fingerprint: str | None = None
+) -> MatrixFeatures:
+    """Compute the advisor feature bundle for one pattern (``fingerprint``
+    is ``matrix_fingerprint(coo)``, when the caller already has it)."""
     t0 = time.perf_counter()
     counts = coo.row_counts()
     runs = run_lengths(coo)
@@ -380,7 +383,7 @@ def extract_features(coo: COOMatrix) -> MatrixFeatures:
         probes = _count_probes(sample)
 
     return MatrixFeatures(
-        fingerprint=matrix_fingerprint(coo),
+        fingerprint=fingerprint or matrix_fingerprint(coo),
         nrows=coo.nrows,
         ncols=coo.ncols,
         nnz=coo.nnz,

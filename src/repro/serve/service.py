@@ -550,7 +550,7 @@ class AdvisorService:
             pruning: PruneDecision | None = None
             pool = candidates
             if options.prune:
-                features = extract_features(coo)
+                features = extract_features(coo, fingerprint=fingerprint)
                 pruning = prune_candidates(
                     features, candidates, self.prune_config,
                     precision=precision,
@@ -560,7 +560,7 @@ class AdvisorService:
                 # Learning needs the feature bundle even on --no-prune
                 # requests: the trace logs the derived vector and the
                 # shadow comparison predicts from it.
-                features = extract_features(coo)
+                features = extract_features(coo, fingerprint=fingerprint)
             predicted_kind = None
             if (
                 decision is not None

@@ -10,8 +10,10 @@ float.  All comparisons here are exact (``==`` on dataclasses, dtype-aware
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -32,8 +34,11 @@ from repro.core.profiling import ProfileCache
 from repro.core.selection import AutoTuner, build_candidate, evaluate_candidates
 from repro.errors import ModelError
 from repro.formats.coo import COOMatrix
-from repro.machine.batch import MatrixProgram, plan_structures
-from repro.machine.plan import MAX_PLANS_PER_FORMAT, get_plan
+from repro.formats.csrdu import CSRDUMatrix
+from repro.machine.batch import MatrixProgram, _LazyCSR, plan_structures
+from repro.machine.cache import x_budget_lines
+from repro.machine.costs import KernelCostModel
+from repro.machine.plan import MAX_PLANS_PER_FORMAT, _shape_max_col, get_plan
 from repro.types import Impl, Precision
 
 from .conftest import make_random_coo
@@ -323,6 +328,145 @@ class TestMatrixProgramPredict:
             refs = [weakref.ref(f) for f in fmts]
             del program, fmts
             assert [r for r in refs if r() is not None] == []
+
+
+#: Dimensions no block size of the paper space (2..8) divides, so every
+#: blocking has a ragged last block row and block column.
+_ODD_DIMS = (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
+
+
+@st.composite
+def odd_shaped_coos(draw):
+    """Random or banded patterns, square or rectangular, over odd
+    dimensions, always touching the last column."""
+    nrows = draw(st.sampled_from(_ODD_DIMS))
+    ncols = draw(st.sampled_from(_ODD_DIMS))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if draw(st.booleans()):
+        nnz = draw(st.integers(1, nrows * ncols // 2))
+        rows = np.random.default_rng(seed).integers(0, nrows, nnz)
+        cols = np.random.default_rng(seed + 1).integers(0, ncols, nnz)
+    else:
+        half = draw(st.integers(0, 5))
+        offsets = np.arange(-half, half + 1)
+        rows = np.repeat(np.arange(nrows), offsets.shape[0])
+        cols = rows + np.tile(offsets, nrows)
+        keep = (cols >= 0) & (cols < ncols)
+        rows, cols = rows[keep], cols[keep]
+    rows = np.append(rows, nrows - 1)
+    cols = np.append(cols, ncols - 1)
+    return COOMatrix(nrows, ncols, rows, cols, None)
+
+
+class TestPerPartWork:
+    """Each per-part quantity of the simulator axes is computed once per
+    part: the x-miss shape bound skips streams it proves resident, and
+    one whole-pattern CSR part (with its row-cost prefixes) serves every
+    structure that holds it."""
+
+    @given(coo=odd_shaped_coos())
+    @settings(max_examples=30, deadline=None)
+    def test_shape_bound_covers_every_stream(self, coo):
+        structures = unique_structures(FULL_SPACE)
+        fused = plan_structures(coo, structures)
+        built = [
+            build_candidate(coo, Candidate(kind, block, Impl.SCALAR))
+            for kind, block in structures
+        ]
+        fmts = [*fused.values(), *built, CSRDUMatrix.from_coo(coo)]
+        for fmt in fmts:
+            for part in fmt.submatrices():
+                bound = _shape_max_col(part)
+                assert bound is not None, part.block_descriptor()
+                stream = part.x_access_stream()
+                if len(stream):
+                    touched = int(stream.element_columns().max())
+                    assert bound >= touched, part.block_descriptor()
+
+    def test_resident_remainders_stay_lazy(self, machine):
+        """fdiff's case: ncols is exactly line_elems x budget at dp, so
+        each DEC remainder's shape proves its x footprint fits, and
+        ``evaluate`` never materializes its column indices — while every
+        cell still equals the per-cell path's."""
+        small = dataclasses.replace(
+            machine,
+            l1=dataclasses.replace(machine.l1, size_bytes=4 * 1024),
+            l2=dataclasses.replace(machine.l2, size_bytes=16 * 1024),
+        )
+        budget = x_budget_lines(
+            small.l2.size_bytes, small.l2.line_bytes, small.x_cache_fraction
+        )
+        nrows, ncols = 400, small.l2.line_bytes // 8 * budget
+        rng = np.random.default_rng(3)
+        # Dense 4x4 tiles give most blockings full blocks, so their
+        # remainders are lazily planned; scattered singles fill the rest.
+        tile_r = rng.integers(0, nrows // 4, 60) * 4
+        tile_c = rng.integers(0, ncols // 4, 60) * 4
+        offsets = np.arange(16)
+        rows = np.concatenate([
+            (tile_r[:, None] + offsets // 4).ravel(),
+            rng.integers(0, nrows, 2000), [0],
+        ])
+        cols = np.concatenate([
+            (tile_c[:, None] + offsets % 4).ravel(),
+            rng.integers(0, ncols, 2000), [ncols - 1],
+        ])
+        coo = COOMatrix(nrows, ncols, rows, cols, None)
+        program = MatrixProgram(coo, small, FULL_SPACE)
+        remainders = [
+            part
+            for (kind, _), fmt in program.fmt_cache.items()
+            if kind in ("bcsr_dec", "bcsd_dec")
+            for part in fmt.parts
+            if isinstance(part, _LazyCSR)
+        ]
+        assert len(remainders) >= 10
+        fmt_cache: dict = {}
+        for precision in ("sp", "dp"):
+            for nthreads in (1, 2, 4):
+                cells = program.evaluate(precision, nthreads, FULL_SPACE)
+                assert all(
+                    cell.ws_bytes > small.l2.size_bytes for cell in cells
+                )
+                reference = evaluate_candidates(
+                    coo, small, precision, candidates=FULL_SPACE, models=(),
+                    nthreads=nthreads, fmt_cache=fmt_cache,
+                )
+                assert [c.sim for c in cells] == [r.sim for r in reference]
+        assert not any("_lazy_values" in p.__dict__ for p in remainders)
+
+    def test_whole_csr_part_is_shared(self, machine, monkeypatch):
+        """Every decomposition without a full block holds the plain CSR
+        structure itself, so its row costs run once per precision."""
+        coo = make_random_coo(300, 300, 1500, seed=11, with_values=False)
+        program = MatrixProgram(coo, machine, FULL_SPACE)
+        csr = program.fmt_cache[("csr", None)]
+        whole = [
+            fmt.parts[0]
+            for (kind, _), fmt in program.fmt_cache.items()
+            if kind in ("bcsr_dec", "bcsd_dec") and len(fmt.parts) == 1
+        ]
+        assert len(whole) >= 3
+        assert all(part is csr for part in whole)
+
+        real = KernelCostModel.block_row_cycles
+        calls = Counter()
+
+        def counted(self, part, impl, precision):
+            if part is csr:
+                calls[(Impl.coerce(impl), Precision.coerce(precision))] += 1
+            return real(self, part, impl, precision)
+
+        monkeypatch.setattr(KernelCostModel, "block_row_cycles", counted)
+        multi = tuple(c for c in FULL_SPACE if c.kind != "vbl")
+        for precision in ("sp", "dp"):
+            for nthreads in (1, 2, 4):
+                program.evaluate(
+                    precision, nthreads, FULL_SPACE if nthreads == 1 else multi
+                )
+        assert calls == {
+            (Impl.SCALAR, Precision.SP): 1, (Impl.SCALAR, Precision.DP): 1,
+        }
 
 
 @contextmanager

@@ -10,8 +10,10 @@ sweep.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -56,6 +58,31 @@ def stub_matrix(shard_id: int, name: str = "stub") -> MatrixSweep:
 
 def stub_task(task) -> MatrixSweep:
     return stub_matrix(task.shard_id, task.name)
+
+
+#: The shard whose pool worker the worker-death tests SIGKILL.
+VICTIM = 27
+
+
+def kill_once_task(marker_dir: Path, task) -> MatrixSweep:
+    """SIGKILL the worker the first time any process runs the victim
+    shard; the marker file makes that happen once across processes."""
+    if task.shard_id == VICTIM:
+        try:
+            (marker_dir / "killed").open("x").close()
+        except FileExistsError:
+            pass
+        else:
+            os.kill(os.getpid(), signal.SIGKILL)
+    return stub_task(task)
+
+
+def kill_always_task(task) -> MatrixSweep:
+    """SIGKILL the worker every time it runs the victim shard."""
+    if task.shard_id == VICTIM:
+        time.sleep(0.2)  # let the other worker finish the innocent shards
+        os.kill(os.getpid(), signal.SIGKILL)
+    return stub_task(task)
 
 
 class TestPlanning:
@@ -295,6 +322,51 @@ class TestPoolPath:
         assert [m.idx for m in result.matrices] == list(SUBSET)
         assert ShardStore(tmp_path, STUB_CONFIG).completed_ids() == [1, 27, 30]
         assert len(col.of("shard_finish")) == 3
+
+
+class TestWorkerDeath:
+    """A pool worker killed mid-shard breaks the whole pool: every shard
+    in flight is charged one attempt and retried on a fresh pool, under
+    the usual retry budget and quarantine."""
+
+    def test_killed_worker_is_retried(self, tmp_path):
+        log = tmp_path / "run.jsonl"
+        reporter = JsonlReporter(log)
+        result = SweepEngine(
+            STUB_CONFIG, cache_dir=tmp_path / "cache", jobs=2,
+            backoff_base_s=0.0,
+            task_fn=functools.partial(kill_once_task, tmp_path),
+            reporters=[reporter],
+        ).run()
+        reporter.close()
+        assert result.missing == []
+        assert [m.idx for m in result.matrices] == list(SUBSET)
+        events = [json.loads(line) for line in log.read_text().splitlines()]
+        retries = [e for e in events if e["event"] == "shard_retry"]
+        assert {"shard": VICTIM, "error_type": "BrokenProcessPool"} in [
+            {"shard": e["shard"], "error_type": e["error_type"]}
+            for e in retries
+        ]
+        finish = {
+            e["shard"]: e["attempt"]
+            for e in events if e["event"] == "shard_finish"
+        }
+        assert finish[VICTIM] == 2
+
+    def test_always_killed_shard_is_quarantined(self, tmp_path):
+        col = CollectingReporter()
+        # Three attempts for the victim; an innocent shard caught in
+        # flight by one of its kills still has retries left.
+        result = SweepEngine(
+            STUB_CONFIG, cache_dir=tmp_path, jobs=2, max_retries=2,
+            backoff_base_s=0.0, task_fn=kill_always_task, reporters=[col],
+        ).run()
+        assert result.missing == [VICTIM]
+        assert [m.idx for m in result.matrices] == [1, 30]
+        quarantined = col.of("shard_quarantined")
+        assert [(e["shard"], e["attempts"], e["error_type"])
+                for e in quarantined] == [(VICTIM, 3, "BrokenProcessPool")]
+        assert ShardStore(tmp_path, STUB_CONFIG).quarantined_ids() == [VICTIM]
 
 
 @pytest.mark.slow

@@ -58,6 +58,26 @@ class TestAdvise:
         assert rec.best is rec.ranking[0]
         assert rec.n_candidates_evaluated <= rec.n_candidates_total / 3
 
+    def test_cold_advise_hashes_the_pattern_once(
+        self, service, small, monkeypatch
+    ):
+        """The store key's fingerprint is handed to the feature pass, so a
+        cold answer hashes the pattern once, with an unchanged payload."""
+        import repro.serve.features as features
+
+        real = features.matrix_fingerprint
+        calls = []
+
+        def counted(coo):
+            calls.append(coo)
+            return real(coo)
+
+        monkeypatch.setattr(features, "matrix_fingerprint", counted)
+        rec = service.advise(small)
+        assert not rec.cache_hit
+        assert calls == [small]
+        assert rec.fingerprint == rec.features["fingerprint"] == real(small)
+
     def test_no_prune_evaluates_everything(self, service, small):
         rec = service.advise(small, prune=False)
         assert rec.n_candidates_evaluated == rec.n_candidates_total
