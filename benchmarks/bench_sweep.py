@@ -1,24 +1,24 @@
 """Before/after benchmark of the sweep's inner loop (batched array program).
 
 Measures the reduced golden config — dp, 1 thread, ``max_block_elems=4``,
-suite indices 1 (dense), 27 (pwtk) and 30 (rand-sparse) — three ways:
+suite indices 1 (dense), 27 (pwtk) and 30 (rand-sparse) — two ways:
 
-* **baseline** — what a cold pre-PR-3 worker paid: lazy in-process profile
-  calibration plus the sweep through the preserved reference simulator
-  (``simulate_reference``, the verbatim per-call path with the windowed
-  miss-estimator loop).  The calibration itself is also routed through the
-  reference simulator, as it was before the plan layer existed.
-* **simplan** — the PR 3 state of the art: the calibrated profile served
-  float-exactly from the on-disk :class:`ProfileStore` plus the per-cell
-  plan-based ``simulate`` (``batch=False``).
-* **batched** — the production path: the same warm profile plus the
+* **reference** — what a cold worker paid before any of the sweep's
+  optimisations: lazy in-process profile calibration plus the oracle's
+  reference sweep (:func:`repro.oracle.reference_sweep`: per-shape
+  converters, per-candidate model predictions and ``simulate_reference``,
+  the unfactored per-cell simulator with the windowed miss-estimator
+  loop).  The calibration itself is also routed through the reference
+  simulator and the per-shape converters.
+* **batched** — the production path: the calibrated profile served
+  float-exactly from the on-disk :class:`ProfileStore` plus the
   whole-matrix array program (:mod:`repro.machine.batch`), one fused
-  structural planning pass and vectorized cell evaluation.
+  structural planning pass and the one simulator over each plane of cells.
 
-All three produce byte-identical ``canonical_json()`` — asserted on every
-run, together with the golden sha — so each speedup is free.  Results are
+Both produce byte-identical ``canonical_json()`` — asserted on every run,
+together with the golden sha — so the speedup is free.  Results are
 written to ``BENCH_sweep.json`` (checked in at the repo root) with the
-per-phase breakdown of both the reference and the batched path.
+per-phase breakdown of both paths.
 
 The golden config never reaches the x-miss estimator (its matrices are
 x-resident or inside the budget), so the full run adds two sections:
@@ -36,10 +36,10 @@ Usage::
     python benchmarks/bench_sweep.py            # full bench, writes JSON
     python benchmarks/bench_sweep.py --smoke    # one tiny matrix, no JSON
 
-The full run asserts this PR's acceptance bar (batched >= 3x over the
-simplan path) and the golden canonical sha; ``--smoke`` asserts its own
-pinned sha through the batched path plus that batching wins at all, sized
-for a CI minute.
+The full run asserts the acceptance bar (batched >= 7.5x over the
+reference) and the golden canonical sha; ``--smoke`` asserts its own
+pinned sha through the batched path plus that batching beats the
+reference at all, sized for a CI minute.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ FULL_INDICES = (1, 27, 30)
 SMOKE_INDICES = (1,)
 #: The suite matrix whose out-of-budget streams the x_miss section times.
 XMISS_INDEX = 23
-#: Acceptance bar: batched over the PR 3 per-cell SimPlan path.
-SPEEDUP_BAR = 3.0
+#: Acceptance bar: batched over the reference.
+SPEEDUP_BAR = 7.5
 #: Golden canonical_json sha prefixes (see also tests/test_plan.py).
 CANONICAL_SHA = "5eb35e90e7ecbca8"
 SMOKE_SHA = "68288cd28a678a98"
@@ -103,39 +103,24 @@ def _per_shape_calibration():
         batch.plan_structures = original
 
 
-def _run_baseline(config):
-    """Cold pre-PR-3 worker: lazy calibration + reference simulator."""
+def _run_reference(config):
+    """Cold reference worker: lazy calibration + the oracle's sweep."""
     import repro.core.profiling as profiling
-    from repro.bench.harness import run_sweep
     from repro.core.profiling import ProfileCache
-    from repro.machine.executor import simulate_reference
+    from repro.oracle import reference_sweep, simulate_reference
 
     original = profiling.simulate
     profiling.simulate = simulate_reference
     try:
         with _per_shape_calibration():
             t0 = time.perf_counter()
-            result = run_sweep(
-                config=config,
-                profile_cache=ProfileCache(),
-                simulate_fn=simulate_reference,
+            result = reference_sweep(
+                config, profile_cache=ProfileCache(), clock=time.perf_counter
             )
             elapsed = time.perf_counter() - t0
     finally:
         profiling.simulate = original
     return result, elapsed
-
-
-def _run_simplan(config, store_dir):
-    """Warm PR 3 worker: disk-served profile + per-cell plan simulator."""
-    from repro.bench.harness import run_sweep
-    from repro.core.profiling import ProfileStore
-
-    t0 = time.perf_counter()
-    result = run_sweep(
-        config=config, profile_cache=ProfileStore(store_dir), batch=False
-    )
-    return result, time.perf_counter() - t0
 
 
 def _run_batched(config, store_dir):
@@ -144,9 +129,7 @@ def _run_batched(config, store_dir):
     from repro.core.profiling import ProfileStore
 
     t0 = time.perf_counter()
-    result = run_sweep(
-        config=config, profile_cache=ProfileStore(store_dir), batch=True
-    )
+    result = run_sweep(config=config, profile_cache=ProfileStore(store_dir))
     return result, time.perf_counter() - t0
 
 
@@ -167,24 +150,28 @@ def _out_of_budget_streams(idx: int, machine, precision: str) -> list:
 
     from repro.core.candidates import candidate_space, unique_structures
     from repro.machine.batch import plan_structures
-    from repro.machine.plan import get_plan
+    from repro.machine.cache import x_budget_lines
     from repro.matrices.suite import get_entry
+    from repro.types import Precision
 
     coo = get_entry(idx).build()
     structures = plan_structures(
         coo, unique_structures(candidate_space(max_block_elems=8))
     )
+    line_elems = machine.l2.line_bytes // Precision.coerce(precision).itemsize
+    budget = x_budget_lines(
+        machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
+    )
     streams = []
     for fmt in structures.values():
-        plan = get_plan(fmt, machine, precision)
-        if plan.x_resident:
+        if fmt.working_set(precision) <= machine.l2.size_bytes:
             continue
-        for part in plan.parts:
-            lines = part.x_access_stream().line_ids(plan.line_elems)
+        for part in fmt.submatrices():
+            lines = part.x_access_stream().line_ids(line_elems)
             if (
                 lines.size
-                and lines.max() >= plan.budget
-                and np.unique(lines).shape[0] > plan.budget
+                and lines.max() >= budget
+                and np.unique(lines).shape[0] > budget
             ):
                 streams.append(lines)
     return streams
@@ -192,11 +179,8 @@ def _out_of_budget_streams(idx: int, machine, precision: str) -> list:
 
 def bench_x_miss(machine, rounds: int) -> dict:
     """The estimator against its per-window loop spec on fdiff's streams."""
-    from repro.machine.cache import (
-        estimate_stream_misses,
-        estimate_stream_misses_windowed,
-        x_budget_lines,
-    )
+    from repro.machine.cache import estimate_stream_misses, x_budget_lines
+    from repro.oracle import estimate_stream_misses_windowed
 
     streams = _out_of_budget_streams(XMISS_INDEX, machine, "dp")
     if not streams:
@@ -262,19 +246,15 @@ def run_bench(indices, *, rounds: int, store_dir: Path) -> dict:
 
     ProfileStore(store_dir).get(get_preset(config.machine_name), "dp")
 
-    baselines, simplans, batcheds = [], [], []
+    references, batcheds = [], []
     canonical = None
     for _ in range(rounds):
-        ref, t_base = _run_baseline(config)
-        mid, t_simplan = _run_simplan(config, store_dir)
+        ref, t_ref = _run_reference(config)
         opt, t_batched = _run_batched(config, store_dir)
-        if not (
-            ref.canonical_json() == mid.canonical_json() == opt.canonical_json()
-        ):
+        if ref.canonical_json() != opt.canonical_json():
             raise SystemExit("FATAL: sweep paths are not byte-identical")
         canonical = opt.canonical_json()
-        baselines.append(t_base)
-        simplans.append(t_simplan)
+        references.append(t_ref)
         batcheds.append(t_batched)
 
     per_matrix = {}
@@ -285,7 +265,7 @@ def run_bench(indices, *, rounds: int, store_dir: Path) -> dict:
             "reference_phases_s": _phases(ref_m),
             "batched_phases_s": _phases(opt_m),
         }
-    t_base, t_simplan, t_batched = min(baselines), min(simplans), min(batcheds)
+    t_ref, t_batched = min(references), min(batcheds)
     return {
         "config": {
             "precisions": list(config.precisions),
@@ -294,11 +274,9 @@ def run_bench(indices, *, rounds: int, store_dir: Path) -> dict:
             "suite_indices": list(indices),
         },
         "rounds": rounds,
-        "baseline_s": round(t_base, 3),
-        "simplan_s": round(t_simplan, 3),
+        "reference_s": round(t_ref, 3),
         "batched_s": round(t_batched, 3),
-        "speedup": round(t_simplan / t_batched, 3),
-        "speedup_vs_reference": round(t_base / t_batched, 3),
+        "speedup": round(t_ref / t_batched, 3),
         "byte_identical": True,
         "records": sum(len(m.records) for m in ref.matrices),
         "canonical_sha256_prefix": hashlib.sha256(
@@ -333,11 +311,9 @@ def main(argv=None) -> int:
         payload = run_bench(indices, rounds=rounds, store_dir=Path(store_dir))
 
     print(
-        f"sweep {list(indices)}: reference {payload['baseline_s']:.2f}s, "
-        f"simplan {payload['simplan_s']:.2f}s, "
+        f"sweep {list(indices)}: reference {payload['reference_s']:.2f}s, "
         f"batched {payload['batched_s']:.2f}s "
-        f"-> {payload['speedup']:.2f}x over simplan, "
-        f"{payload['speedup_vs_reference']:.2f}x over reference "
+        f"-> {payload['speedup']:.2f}x over the reference "
         f"(byte-identical, sha {payload['canonical_sha256_prefix']})"
     )
     expected_sha = SMOKE_SHA if args.smoke else CANONICAL_SHA
@@ -350,7 +326,10 @@ def main(argv=None) -> int:
         return 1
     if args.smoke:
         if payload["speedup"] <= 1.0:
-            print("FAIL: batched path is not faster", file=sys.stderr)
+            print(
+                "FAIL: batched path is not faster than the reference",
+                file=sys.stderr,
+            )
             return 1
         return 0
 

@@ -26,7 +26,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from ..core.candidates import Candidate, candidate_space
 from ..core.profiling import BlockProfile, ProfileCache
-from ..core.selection import evaluate_candidates
+from ..core.selection import CandidateResult
+from ..formats.coo import COOMatrix
 
 # Re-exported here for backwards compatibility: these helpers started life
 # in this module and grew callers across bench/, engine/ and serve/.
@@ -38,6 +39,7 @@ from ..ioutils import (  # noqa: F401
     remove_stale_tmp_files,
     write_envelope,
 )
+from ..machine.batch import MatrixProgram
 from ..machine.machine import MachineModel
 from ..machine.presets import get_preset
 from ..matrices.suite import SUITE, SuiteEntry, get_entry
@@ -48,7 +50,7 @@ __all__ = [
     "SweepRecord",
     "MatrixSweep",
     "SweepResult",
-    "diff_sweep_results",
+    "assemble_matrix_sweep",
     "sweep_matrix",
     "matrix_sweep_from_payload",
     "atomic_write_json",
@@ -239,83 +241,24 @@ class SweepResult:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def diff_sweep_results(a: SweepResult, b: SweepResult) -> str | None:
-    """First field-level divergence between two sweeps, or ``None``.
-
-    The debugging tool behind ``repro sweep --compare-batched``: where
-    ``canonical_json`` equality only says *that* two paths diverged, this
-    walks matrices and records in order and names the first differing
-    field with both values (float fields compared exactly — the contract
-    is bit-identity, not closeness).
-    """
-    if asdict(a.config) != asdict(b.config):
-        return f"config: {asdict(a.config)!r} != {asdict(b.config)!r}"
-    if list(a.missing) != list(b.missing):
-        return f"missing: {a.missing!r} != {b.missing!r}"
-    if len(a.matrices) != len(b.matrices):
-        return f"matrix count: {len(a.matrices)} != {len(b.matrices)}"
-    for ma, mb in zip(a.matrices, b.matrices):
-        where = f"matrix {ma.idx} ({ma.name})"
-        for fname in ("idx", "name", "domain", "geometry", "special",
-                      "nrows", "ncols", "nnz"):
-            va, vb = getattr(ma, fname), getattr(mb, fname)
-            if va != vb:
-                return f"{where}: {fname}: {va!r} != {vb!r}"
-        if len(ma.records) != len(mb.records):
-            return (
-                f"{where}: record count: "
-                f"{len(ma.records)} != {len(mb.records)}"
-            )
-        for k, (ra, rb) in enumerate(zip(ma.records, mb.records)):
-            da, db = asdict(ra), asdict(rb)
-            if da == db:
-                continue
-            cell = (
-                f"{where}: record {k} "
-                f"({ra.kind}/{ra.block}/{ra.impl}/"
-                f"{ra.precision}/t{ra.nthreads})"
-            )
-            for fname in da:
-                if da[fname] != db[fname]:
-                    return f"{cell}: {fname}: {da[fname]!r} != {db[fname]!r}"
-            return f"{cell}: differs"  # pragma: no cover - field loop covers
-    return None
-
-
-def sweep_matrix(
+def assemble_matrix_sweep(
     entry: SuiteEntry,
-    config: SweepConfig = SweepConfig(),
-    *,
-    machine: MachineModel | None = None,
-    profile_cache: ProfileCache | None = None,
-    simulate_fn: Callable | None = None,
-    batch: bool = True,
+    coo: COOMatrix,
+    config: SweepConfig,
+    candidates: Sequence[Candidate],
+    evaluate: Callable[..., Sequence[CandidateResult]],
 ) -> MatrixSweep:
-    """Sweep every candidate over one suite matrix (one engine shard).
+    """One matrix's records, every (precision, threads) plane in sweep order.
 
-    Deterministic in ``(entry, config)``: the record order and every value
-    are identical no matter which process or worker runs it — the property
-    the engine's parallel path relies on.
-
-    ``batch`` routes the sweep through the whole-matrix array program
-    (:class:`repro.machine.batch.MatrixProgram`); ``batch=False`` is the
-    per-cell :func:`~repro.core.selection.evaluate_candidates` path.  The
-    two are bit-identical (``repro sweep --compare-batched`` diffs them).
-    ``simulate_fn`` overrides the execution simulator (the bit-identity
-    tests and the benchmark baseline pass
-    :func:`repro.machine.executor.simulate_reference`) and forces the
-    per-cell path.
+    ``evaluate(precision, nthreads, candidates, models=...)`` returns one
+    plane's results: :func:`sweep_matrix` passes
+    :meth:`~repro.machine.batch.MatrixProgram.evaluate`, the reference
+    sweep in :mod:`repro.oracle` its per-candidate path, so both turn
+    results into records the same way.
     """
-    machine = machine if machine is not None else get_preset(config.machine_name)
-    profile_cache = profile_cache if profile_cache is not None else ProfileCache()
-    candidates = candidate_space(max_block_elems=config.max_block_elems)
     # The multicore experiment drops 1D-VBL, as the paper does ("we have
     # chosen not to implement a multithreaded version of 1D-VBL").
     mt_candidates = tuple(c for c in candidates if c.kind != "vbl")
-    if simulate_fn is not None:
-        batch = False
-
-    coo = entry.build()
     sweep = MatrixSweep(
         idx=entry.idx,
         name=entry.name,
@@ -326,45 +269,15 @@ def sweep_matrix(
         ncols=coo.ncols,
         nnz=coo.nnz,
     )
-    timings: dict[str, float] = {}
-    sweep._phase_timings = timings
-    if batch:
-        # One fused planning pass builds every structure, then each
-        # (precision, threads) plane is evaluated as one array program.
-        from ..machine.batch import MatrixProgram
-
-        program = MatrixProgram(
-            coo,
-            machine,
-            candidates,
-            profile_cache=profile_cache,
-            timings=timings,
-            clock=time.perf_counter,
-        )
-    fmt_cache: dict = {}
     for precision in config.precisions:
         for nthreads in config.thread_counts:
             single = nthreads == 1
-            if batch:
-                results = program.evaluate(
-                    precision,
-                    nthreads,
-                    candidates if single else mt_candidates,
-                    models=MODEL_NAMES if single else (),
-                )
-            else:
-                results = evaluate_candidates(
-                    coo,
-                    machine,
-                    precision,
-                    candidates=candidates if single else mt_candidates,
-                    models=MODEL_NAMES if single else (),
-                    profile_cache=profile_cache,
-                    nthreads=nthreads,
-                    fmt_cache=fmt_cache,
-                    timings=timings,
-                    simulate_fn=simulate_fn,
-                )
+            results = evaluate(
+                precision,
+                nthreads,
+                candidates if single else mt_candidates,
+                models=MODEL_NAMES if single else (),
+            )
             for res in results:
                 cand = res.candidate
                 sweep.records.append(
@@ -387,6 +300,41 @@ def sweep_matrix(
     return sweep
 
 
+def sweep_matrix(
+    entry: SuiteEntry,
+    config: SweepConfig = SweepConfig(),
+    *,
+    machine: MachineModel | None = None,
+    profile_cache: ProfileCache | None = None,
+) -> MatrixSweep:
+    """Sweep every candidate over one suite matrix (one engine shard).
+
+    Deterministic in ``(entry, config)``: the record order and every value
+    are identical no matter which process or worker runs it — the property
+    the engine's parallel path relies on.  One fused planning pass builds
+    every structure, then each (precision, threads) plane is evaluated as
+    one array program (:class:`repro.machine.batch.MatrixProgram`).
+    """
+    machine = machine if machine is not None else get_preset(config.machine_name)
+    profile_cache = profile_cache if profile_cache is not None else ProfileCache()
+    candidates = candidate_space(max_block_elems=config.max_block_elems)
+    coo = entry.build()
+    timings: dict[str, float] = {}
+    program = MatrixProgram(
+        coo,
+        machine,
+        candidates,
+        profile_cache=profile_cache,
+        timings=timings,
+        clock=time.perf_counter,
+    )
+    sweep = assemble_matrix_sweep(
+        entry, coo, config, candidates, program.evaluate
+    )
+    sweep._phase_timings = timings
+    return sweep
+
+
 def run_sweep(
     entries: Iterable[SuiteEntry] | None = None,
     config: SweepConfig = SweepConfig(),
@@ -394,17 +342,13 @@ def run_sweep(
     machine: MachineModel | None = None,
     progress: bool = False,
     profile_cache: ProfileCache | None = None,
-    simulate_fn: Callable | None = None,
-    batch: bool = True,
 ) -> SweepResult:
     """Run the sweep serially in-process (no caching, no pool).
 
     This is the reference path the engine's parallel output is tested
     against; production runs go through :func:`load_or_run_sweep`.
     ``entries`` defaults to ``config.entries()``.  ``profile_cache`` lets
-    callers share one calibration across runs; ``simulate_fn`` overrides
-    the execution simulator and ``batch`` picks the evaluation path (see
-    :func:`sweep_matrix`).
+    callers share one calibration across runs.
     """
     machine = machine if machine is not None else get_preset(config.machine_name)
     if profile_cache is None:
@@ -416,12 +360,7 @@ def run_sweep(
         t0 = time.perf_counter()
         matrices.append(
             sweep_matrix(
-                entry,
-                config,
-                machine=machine,
-                profile_cache=profile_cache,
-                simulate_fn=simulate_fn,
-                batch=batch,
+                entry, config, machine=machine, profile_cache=profile_cache
             )
         )
         if progress:
@@ -446,7 +385,6 @@ def load_or_run_sweep(
     resume: bool = True,
     run_log: str | Path | None = None,
     profile: bool = False,
-    batch: bool = True,
 ) -> SweepResult:
     """Return the cached sweep for ``config``, running it if absent.
 
@@ -458,9 +396,6 @@ def load_or_run_sweep(
     * ``run_log`` — append machine-readable JSONL engine events here.
     * ``profile`` — print a per-shard and aggregate phase-timing breakdown
       (convert / stats / simulate / models seconds) after the sweep.
-    * ``batch`` — evaluate shards through the whole-matrix array program
-      (the default; ``False`` is the per-cell escape hatch, bit-identical
-      by construction and *not* part of the cache key).
 
     A corrupt or truncated monolithic cache file is discarded with a
     warning and the sweep re-runs (from its shards, when they survive).
@@ -506,7 +441,6 @@ def load_or_run_sweep(
             cache_dir=cache_dir,
             jobs=jobs,
             resume=resume,
-            batch=batch,
             reporters=reporters,
         ).run()
     finally:

@@ -119,25 +119,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(convert/stats/simulate/models seconds)"
         ),
     )
-    engine.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        default=True,
-        help=(
-            "evaluate candidates one cell at a time instead of through the "
-            "whole-matrix array program (bit-identical escape hatch)"
-        ),
-    )
-    engine.add_argument(
-        "--compare-batched",
-        action="store_true",
-        help=(
-            "run the configured sweep through both the batched and the "
-            "per-cell paths, diff the records field-by-field and print the "
-            "first divergence (exit 1 if any)"
-        ),
-    )
     subset = parser.add_argument_group(
         "sweep subsetting (each combination caches separately)"
     )
@@ -1123,39 +1104,6 @@ def _fsck_main(argv: Sequence[str]) -> int:
     return 0 if report.clean else 1
 
 
-def _compare_batched(config: SweepConfig, progress: bool) -> int:
-    """``--compare-batched``: run both sweep paths and diff every record.
-
-    Runs serially and uncached (the point is to execute both paths, not to
-    read a cache), sharing one profile calibration.  Prints the first
-    field-level divergence; exit 1 on any difference.
-    """
-    from .bench.harness import diff_sweep_results, run_sweep
-    from .core.profiling import ProfileCache
-
-    profile_cache = ProfileCache()
-    batched = run_sweep(
-        config=config, progress=progress, profile_cache=profile_cache,
-        batch=True,
-    )
-    percell = run_sweep(
-        config=config, progress=progress, profile_cache=profile_cache,
-        batch=False,
-    )
-    diff = diff_sweep_results(batched, percell)
-    n_records = sum(len(m.records) for m in batched.matrices)
-    if diff is None:
-        identical = batched.canonical_json() == percell.canonical_json()
-        print(
-            f"compare-batched: OK — {n_records} records across "
-            f"{len(batched.matrices)} matrices identical "
-            f"(canonical bytes match: {identical})"
-        )
-        return 0 if identical else 1
-    print(f"compare-batched: DIVERGENCE — {diff}")
-    return 1
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "advise":
@@ -1195,8 +1143,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if error is not None:
             print(f"error: {error}", file=sys.stderr)
             return 2
-        if args.compare_batched:
-            return _compare_batched(_config_from_args(args), args.progress)
         sweep = load_or_run_sweep(
             _config_from_args(args),
             cache_dir=args.cache_dir,
@@ -1205,7 +1151,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             resume=args.resume,
             run_log=args.run_log,
             profile=args.profile,
-            batch=args.batch,
         )
         if sweep.missing:
             print(

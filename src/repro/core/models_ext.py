@@ -29,7 +29,7 @@ from __future__ import annotations
 from ..errors import ModelError
 from ..formats.base import SparseFormat
 from ..machine.machine import MachineModel
-from ..machine.plan import get_plan
+from ..machine.executor import x_misses
 from ..types import Impl, Precision
 from .models import MODELS, OverlapModel, PerformanceModel
 from .profiling import BlockProfile
@@ -43,11 +43,10 @@ def estimate_format_misses(
     """Structural estimate of non-streaming input-vector misses.
 
     Uses the machine's public cache geometry only; this is the simulator's
-    own x-miss term (memoised on the format's simulation plan, so a sweep
-    computes it once).
+    own x-miss term (memoised on the format's parts, so a sweep computes
+    it once).
     """
-    plan = get_plan(fmt, machine, precision)
-    return 0 if plan.x_resident else plan.total_misses()
+    return x_misses(fmt, machine, precision)
 
 
 class OverlapLatencyModel(PerformanceModel):

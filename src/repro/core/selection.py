@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat
@@ -144,7 +144,6 @@ def evaluate_candidates(
     nthreads: int = 1,
     fmt_cache: dict | None = None,
     timings: dict | None = None,
-    simulate_fn: Callable | None = None,
 ) -> list[CandidateResult]:
     """Evaluate every candidate on ``coo``: predictions and simulated time.
 
@@ -152,14 +151,12 @@ def evaluate_candidates(
     omit a prediction for it, as in the paper.
 
     Pass a (caller-owned) ``fmt_cache`` dict to reuse the converted
-    structures — and their memoised simulation plans and cache-miss
-    analyses — across repeated calls for the same matrix (different
-    precisions / thread counts).
+    structures — and the per-part row costs, partitions and cache-miss
+    analyses memoised on them — across repeated calls for the same matrix
+    (different precisions / thread counts).
 
     Pass a ``timings`` dict to accumulate per-phase seconds into its
     ``"convert"`` / ``"stats"`` / ``"simulate"`` / ``"models"`` keys.
-    ``simulate_fn`` overrides the execution simulator (the bit-identity
-    tests pass :func:`repro.machine.executor.simulate_reference`).
     """
     precision = Precision.coerce(precision)
     if candidates is None:
@@ -169,11 +166,10 @@ def evaluate_candidates(
     if profile is None and needs_profile:
         cache = profile_cache if profile_cache is not None else DEFAULT_PROFILE_CACHE
         profile = cache.get(machine, precision)
-    sim_fn = simulate if simulate_fn is None else simulate_fn
 
     stats_cache = StatsCache(coo, timings=timings)
     # Build each structure once and share it across scalar/SIMD candidates:
-    # the format object memoises its simulation plan and x-miss analysis.
+    # its parts memoise the simulator's row costs and x-miss analysis.
     if fmt_cache is None:
         fmt_cache = {}
     results: list[CandidateResult] = []
@@ -213,9 +209,7 @@ def evaluate_candidates(
             )
         if run_simulation:
             t0 = time.perf_counter()
-            res.sim = sim_fn(
-                fmt, machine, precision, cand.impl, nthreads
-            )
+            res.sim = simulate(fmt, machine, precision, cand.impl, nthreads)
             if timings is not None:
                 timings["simulate"] = (
                     timings.get("simulate", 0.0) + time.perf_counter() - t0
@@ -292,10 +286,11 @@ class AutoTuner:
     ) -> CandidateResult:
         """Pick the best candidate for ``coo`` according to ``model``.
 
-        ``batch=True`` evaluates through the whole-matrix array program
-        (:class:`repro.machine.batch.MatrixProgram`) — same selection,
-        bit-identical predictions, one fused planning pass instead of a
-        per-candidate conversion loop.
+        ``batch=True`` ranks through the whole-matrix array program's
+        models-only plane (:meth:`repro.machine.batch.MatrixProgram.predict`)
+        — same selection, bit-identical predictions, one fused planning
+        pass instead of a per-candidate conversion loop.  Either way the
+        result carries ``sim=None``: selection reads only predictions.
         """
         if batch:
             # Imported lazily: machine.batch sits above this module.
@@ -309,7 +304,7 @@ class AutoTuner:
                 candidates,
                 profile_cache=self.profile_cache,
             )
-            results = program.evaluate(
+            results = program.predict(
                 precision, nthreads, candidates, models=(model,)
             )
         else:

@@ -78,12 +78,8 @@ class SweepEngine:
         task_fn: TaskFn = run_shard_task,
         reporters: tuple[Reporter, ...] | list = (),
         warm_profiles: bool | None = None,
-        batch: bool = True,
     ) -> None:
         self.config = config
-        # Execution detail carried on the shard tasks (never the config:
-        # it must not change the sweep fingerprint or the shard payloads).
-        self.batch = batch
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -115,7 +111,7 @@ class SweepEngine:
     # ------------------------------------------------------------------ #
     def run(self) -> SweepResult:
         t_start = time.perf_counter()
-        tasks = plan_shards(self.config, batch=self.batch)
+        tasks = plan_shards(self.config)
         if not self.resume:
             self.store.clear()
 

@@ -38,19 +38,12 @@ class ShardTask:
     profiles: tuple[BlockProfile, ...] = field(
         default=(), compare=False, repr=False
     )
-    #: Evaluate through the whole-matrix array program
-    #: (:mod:`repro.machine.batch`).  An execution detail, not part of the
-    #: work's identity — the two paths are bit-identical — so it is
-    #: excluded from equality/hash like ``profiles`` and deliberately kept
-    #: out of :class:`SweepConfig` (it must not change the fingerprint).
-    batch: bool = field(default=True, compare=False)
 
 
 def plan_shards(
     config: SweepConfig,
     *,
     profiles: "tuple[BlockProfile, ...]" = (),
-    batch: bool = True,
 ) -> tuple[ShardTask, ...]:
     """Decompose ``config`` into its per-matrix shard tasks, suite order."""
     return tuple(
@@ -59,7 +52,6 @@ def plan_shards(
             name=e.name,
             config=config,
             profiles=profiles,
-            batch=batch,
         )
         for e in config.entries()
     )
@@ -94,5 +86,4 @@ def run_shard_task(task: ShardTask) -> MatrixSweep:
         task.config,
         machine=machine,
         profile_cache=_PROFILE_CACHE,
-        batch=task.batch,
     )

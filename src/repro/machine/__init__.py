@@ -6,16 +6,10 @@ replaced by an analytic simulator and how the analytic performance models
 remain honestly separated from it.
 """
 
-from .cache import (
-    LRUCache,
-    estimate_stream_misses,
-    estimate_stream_misses_windowed,
-    x_budget_lines,
-)
+from .cache import estimate_stream_misses, x_budget_lines
 from .costs import KernelCostModel
-from .executor import SimResult, simulate, simulate_reference
+from .executor import SimResult, simulate, simulate_plane
 from .machine import CacheLevel, MachineModel
-from .plan import SimPlan, get_plan
 from .presets import CORE2_XEON, GENERIC_MODERN, PRESETS, get_preset
 from .stream import StreamResult, measure_host_stream, simulated_stream
 
@@ -25,12 +19,8 @@ __all__ = [
     "KernelCostModel",
     "SimResult",
     "simulate",
-    "simulate_reference",
-    "SimPlan",
-    "get_plan",
-    "LRUCache",
+    "simulate_plane",
     "estimate_stream_misses",
-    "estimate_stream_misses_windowed",
     "x_budget_lines",
     "CORE2_XEON",
     "GENERIC_MODERN",

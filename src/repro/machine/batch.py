@@ -1,14 +1,13 @@
 """Batch-fused whole-matrix candidate evaluation: one array program per matrix.
 
-The sweep evaluates ~105 candidates per matrix, and PR 3's :class:`SimPlan`
-already memoizes everything that is shared *within* one candidate's cells.
-What remained Python-shaped was the work *across* candidates:
+The sweep evaluates ~105 candidates per matrix.  Done one candidate at a
+time, the work is Python-shaped twice over:
 
-* every block shape re-analysed the same nonzero pattern from scratch
+* every block shape re-analyses the same nonzero pattern from scratch
   (``bcsr_block_stats`` / ``bcsd_block_stats`` are ~15 full passes over the
   nnz-sized index arrays each, plus a stable argsort for ``r > 1``), and
-* every (candidate, precision, threads) cell assembled its scalar timing
-  terms in a separate Python-level ``simulate`` call.
+* every (candidate, precision, threads) cell assembles its scalar timing
+  terms in a separate Python-level call.
 
 This module turns both into array programs:
 
@@ -37,24 +36,18 @@ outputs are ordinary format objects (lazily-materializing subclasses),
 once read — the per-call converters remain the executable specification,
 pinned by the equivalence tests.
 
-:class:`MatrixProgram` is the **batched cell evaluator**: it stacks every
-per-cell scalar of ``SimPlan.run`` and of the MEM/MEMCOMP/OVERLAP
-predictors — working sets, streaming-loss factors, per-part exposure
-fractions, segment sums, x-miss counts, profiled block times — into arrays
-over a *cells axis* and evaluates all candidates of one (precision,
-threads) plane with a handful of vectorized reductions.  Bit-identity holds
-because every float operation is elementwise with the same operands in the
-same order as the scalar path: IEEE 754 arithmetic is deterministic per
-element, NumPy float64 elementwise ops are exactly Python-float ops, and
-the only reductions used (``max``) are exact.  Order-sensitive float
-accumulations — the per-structure ``cumsum`` segment sums — are *not*
-re-associated: they stay per-(structure, impl, threads) inside the shared
-:class:`SimPlan` memos.
-
-``executor.simulate`` / ``SimPlan.run`` remain the per-call executable
-spec; ``repro sweep --compare-batched`` diffs the two paths record by
-record.  See ``docs/batching.md`` for the layout and the bit-identity
-argument.
+:class:`MatrixProgram` is the **batched cell evaluator**: one (precision,
+threads) plane of cells goes through the simulator
+(:func:`repro.machine.executor.simulate_plane`, the one simulator, whose
+cells axis is the candidate axis) and through the MEM/MEMCOMP/OVERLAP
+predictors stacked the same way — working sets, per-part profiled block
+times and overlap factors as arrays over the cells.  Bit-identity with
+the per-candidate models holds because every float operation is
+elementwise with the same operands in the same order: IEEE 754
+arithmetic is deterministic per element and NumPy float64 elementwise ops
+are exactly Python-float ops.  The unfactored reference simulator lives
+in :mod:`repro.oracle`.  See ``docs/batching.md`` for the layout and the
+bit-identity argument.
 
 This module is deterministic model code: it must not read the wall clock
 (lint rule ``determinism``).  Phase timings are charged through an injected
@@ -85,8 +78,8 @@ from ..formats.csr import CSRMatrix
 from ..formats.decomposed import DecomposedMatrix
 from ..formats.vbl import VBLMatrix
 from ..types import VBL_MAX_BLOCK, BlockShape, Impl, Precision
+from .executor import simulate_plane
 from .machine import MachineModel
-from .plan import SimResult, get_plan
 
 __all__ = ["plan_structures", "MatrixProgram"]
 
@@ -498,11 +491,10 @@ class MatrixProgram:
     Built once per matrix: the fused planning pass constructs every
     candidate structure, and :meth:`evaluate` batch-evaluates one
     (precision, threads) plane of cells — the candidate loop is an array
-    axis.  The per-structure :class:`SimPlan` memos (row costs, partitions,
-    ``cumsum`` segment sums, x-miss estimates) are shared with the per-call
-    path, so the two paths agree bit-for-bit by construction everywhere the
-    arithmetic is order-sensitive.  :meth:`predict` is the models-only
-    plane the advisor ranks; it touches no :class:`SimPlan`.
+    axis.  :meth:`predict` is the models-only plane the advisor ranks; it
+    runs no simulator.  The simulator's per-part memos (row-cost prefixes,
+    partitions, x-miss counts) live on the structures' parts, so they die
+    with the program.
     """
 
     def __init__(
@@ -542,108 +534,20 @@ class MatrixProgram:
         """Evaluate one (precision, threads) plane of cells, vectorized.
 
         Returns one :class:`~repro.core.selection.CandidateResult` per
-        candidate, in candidate order; ``models`` names the predictors to
+        candidate, in candidate order: :meth:`predict`'s cells with the
+        simulated breakdown attached.  ``models`` names the predictors to
         attach (MEMCOMP/OVERLAP skip candidates they do not cover, as in
-        the paper).  Bit-identical to per-cell ``SimPlan.run`` plus
-        ``MODELS[...].predict``.
+        the paper).
         """
-        machine = self.machine
-        precision = Precision.coerce(precision)
-        if nthreads < 1 or nthreads > machine.max_threads:
-            raise ModelError(
-                f"nthreads={nthreads} outside 1..{machine.max_threads} "
-                f"for machine {machine.name!r}"
-            )
         t0 = self._clock() if self._clock else 0.0
-        fmts = [self.fmt_cache[(c.kind, c.block)] for c in candidates]
-        plans = [get_plan(fmt, machine, precision) for fmt in fmts]
-        ncells = len(plans)
-        costs = machine.costs
-
-        # --- the memory axis: ws / stream bandwidth (+ streaming loss) --- #
-        ws_int = np.array([p.ws for p in plans], dtype=np.int64)
-        ws_f = ws_int.astype(np.float64)
-        bw = np.where(
-            ws_int <= machine.l1.size_bytes,
-            machine.l1.bandwidth_bps,
-            np.where(
-                ws_int <= machine.l2.size_bytes,
-                machine.l2.bandwidth_bps,
-                machine.memory_bandwidth(nthreads),
-            ),
+        sims = simulate_plane(
+            [(self.fmt_cache[(c.kind, c.block)], c.impl) for c in candidates],
+            self.machine, precision, nthreads,
         )
-        t_mem = ws_f / bw
-        factor = np.array(
-            [1.0 if p.mem_factor is None else p.mem_factor for p in plans]
-        )
-        has_factor = np.array([p.mem_factor is not None for p in plans])
-        t_mem = np.where(has_factor, t_mem * factor, t_mem)
-
-        # --- the compute axis: per-part exposure, stacked over cells ----- #
-        overlappable = np.zeros((ncells, nthreads))
-        exposed = np.zeros((ncells, nthreads))
-        max_parts = max((len(p.parts) for p in plans), default=0)
-        for slot in range(max_parts):
-            idx, etas, per_thread = [], [], []
-            for j, (cand, plan) in enumerate(zip(candidates, plans)):
-                if slot >= len(plan.parts):
-                    continue
-                part = plan.parts[slot]
-                part_impl = costs.effective_impl(part, cand.impl)
-                idx.append(j)
-                etas.append(machine.eta(part_impl))
-                per_thread.append(
-                    plan.segment_sums(part, part_impl, nthreads)
-                )
-            sel = np.array(idx, dtype=np.int64)
-            eta = np.array(etas, dtype=np.float64)[:, None]
-            pt = np.stack(per_thread)
-            overlappable[sel] += (1.0 - eta) * pt
-            exposed[sel] += eta * pt
-
-        startup = np.array([p.startup for p in plans], dtype=np.float64)
-        exposed = exposed + startup[:, None]
-        t_overlappable = overlappable.max(axis=1) / machine.clock_hz
-        exposed_s = exposed.max(axis=1) / machine.clock_hz
-
-        # --- the latency axis -------------------------------------------- #
-        misses = np.array(
-            [0 if p.x_resident else p.total_misses() for p in plans],
-            dtype=np.int64,
-        )
-        t_lat = misses / nthreads * machine.effective_latency_s()
-
-        t_total = np.maximum(t_mem, t_overlappable) + exposed_s + t_lat
-        t_comp = t_overlappable + exposed_s
         self._charge("simulate", t0)
-
-        cells = [
-            CandidateResult(
-                candidate=cand,
-                ws_bytes=plan.ws,
-                padding_ratio=fmt.padding_ratio,
-                n_blocks=fmt.n_blocks,
-                sim=SimResult(
-                    t_total=float(t_total[j]),
-                    t_mem=float(t_mem[j]),
-                    t_comp=float(t_comp[j]),
-                    t_comp_exposed=float(exposed_s[j]),
-                    t_latency=float(t_lat[j]),
-                    ws_bytes=plan.ws,
-                    x_misses=int(misses[j]),
-                    nthreads=nthreads,
-                    precision=precision,
-                    impl=cand.impl,
-                ),
-            )
-            for j, (cand, plan, fmt) in enumerate(zip(candidates, plans, fmts))
-        ]
-        models = tuple(models)
-        if models:
-            self._predict(
-                cells, [p.parts for p in plans], ws_f, precision, nthreads,
-                models,
-            )
+        cells = self.predict(precision, nthreads, candidates, models=models)
+        for cell, sim in zip(cells, sims):
+            cell.sim = sim
         return cells
 
     def predict(
@@ -657,11 +561,9 @@ class MatrixProgram:
         """Model predictions for one (precision, threads) plane, no simulator.
 
         The advisor's path: the fused planning pass plus :meth:`_predict`.
-        It builds no :class:`SimPlan` (so it leaves no plan on a format),
-        runs no simulator axis and never materializes lazy index values.
-        The results carry ``sim=None``; their predictions are bit-identical
-        to :meth:`evaluate`'s and to ``evaluate_candidates(...,
-        run_simulation=False)``.
+        It runs no simulator axis and never materializes lazy index
+        values.  The results carry ``sim=None``; their predictions are
+        bit-identical to ``evaluate_candidates(..., run_simulation=False)``.
         """
         precision = Precision.coerce(precision)
         fmts = [self.fmt_cache[(c.kind, c.block)] for c in candidates]

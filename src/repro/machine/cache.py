@@ -1,45 +1,30 @@
-"""Cache models for the input-vector access stream.
+"""Cache model for the input-vector access stream.
 
-Three models live here:
+:func:`estimate_stream_misses` is the *working-set window* estimator the
+execution simulator uses.  It walks the access stream in windows of
+roughly one cache's worth of lines and counts, per window, the lines that
+were not touched in the previous window.  Regular (banded, blocked)
+streams revisit a small set of lines per window and miss almost never;
+uniformly random or power-law streams touch fresh lines constantly and
+miss heavily — exactly the distinction the paper draws between matrices
+that are bandwidth-bound and the latency-bound ones (#12, #14, #15, #28).
+The stream is treated as cyclic (steady state over 100 iterations, as the
+paper measures): the "previous window" of the first window is the last
+window of the stream.  The implementation sorts each window's ids in
+place — O(n log W) time, O(n) memory — and dedupes and matches the
+resulting globally sorted ``(window, line)`` keys in a few vectorized
+passes; no Python loop over windows.
 
-* :func:`estimate_stream_misses` — the fast *working-set window* estimator
-  the execution simulator uses.  It walks the access stream in windows of
-  roughly one cache's worth of lines and counts, per window, the lines that
-  were not touched in the previous window.  Regular (banded, blocked)
-  streams revisit a small set of lines per window and miss almost never;
-  uniformly random or power-law streams touch fresh lines constantly and
-  miss heavily — exactly the distinction the paper draws between matrices
-  that are bandwidth-bound and the latency-bound ones (#12, #14, #15, #28).
-  The stream is treated as cyclic (steady state over 100 iterations, as the
-  paper measures): the "previous window" of the first window is the last
-  window of the stream.  The implementation sorts each window's ids in
-  place — O(n log W) time, O(n) memory — and dedupes and matches the
-  resulting globally sorted ``(window, line)`` keys in a few vectorized
-  passes; no Python loop over windows.
-
-* :func:`estimate_stream_misses_windowed` — the original per-window Python
-  loop (``np.unique`` per window, ``np.isin`` per window pair), kept as the
-  executable specification.  The test suite asserts the vectorized
-  estimator agrees with it exactly on randomized streams, and the sweep
-  benchmark times the estimator against it.
-
-* :class:`LRUCache` — an exact, tiny, deliberately slow fully-associative
-  LRU simulator used by the test suite to sanity-check the estimators'
-  ordering properties on small streams.
+Its executable specification — the original per-window loop — and an
+exact LRU simulator live in :mod:`repro.oracle`, for the tests and the
+sweep benchmark.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
-__all__ = [
-    "estimate_stream_misses",
-    "estimate_stream_misses_windowed",
-    "LRUCache",
-    "x_budget_lines",
-]
+__all__ = ["estimate_stream_misses", "x_budget_lines"]
 
 
 def x_budget_lines(
@@ -135,80 +120,3 @@ def estimate_stream_misses(
     if discount_compulsory:
         misses = max(misses - distinct_total, 0)
     return misses
-
-
-def estimate_stream_misses_windowed(
-    line_ids: np.ndarray,
-    budget_lines: int,
-    *,
-    cyclic: bool = True,
-    discount_compulsory: bool = True,
-) -> int:
-    """Reference implementation of :func:`estimate_stream_misses`.
-
-    The original per-window Python loop, kept verbatim as the executable
-    specification: ``tests/test_cache.py`` asserts the estimator returns
-    exactly the same count on randomized streams, and
-    ``benchmarks/bench_sweep.py`` measures against it (as the pre-SimPlan
-    baseline and on fdiff's out-of-budget streams).  Do not optimize this
-    function.
-    """
-    line_ids = np.asarray(line_ids)
-    n = line_ids.shape[0]
-    if n == 0 or budget_lines <= 0:
-        return 0
-    distinct_total = np.unique(line_ids).shape[0]
-    if distinct_total <= budget_lines:
-        # The whole x footprint is cache-resident in steady state.
-        return 0
-    window = max(int(budget_lines), 1)
-    n_windows = -(-n // window)
-    bounds = [min(k * window, n) for k in range(n_windows + 1)]
-    uniques = [
-        np.unique(line_ids[bounds[k] : bounds[k + 1]]) for k in range(n_windows)
-    ]
-    misses = 0
-    for k in range(n_windows):
-        cur = uniques[k]
-        if k == 0:
-            if not cyclic:
-                misses += cur.shape[0]
-                continue
-            prev = uniques[-1]
-        else:
-            prev = uniques[k - 1]
-        # Lines touched now but absent from the previous window → misses.
-        misses += int(cur.shape[0] - np.isin(cur, prev, assume_unique=True).sum())
-    if discount_compulsory:
-        misses = max(misses - distinct_total, 0)
-    return misses
-
-
-class LRUCache:
-    """Exact fully-associative LRU cache of ``capacity`` lines (test oracle)."""
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._lines: OrderedDict[int, None] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def access(self, line: int) -> bool:
-        """Touch ``line``; returns True on hit."""
-        if line in self._lines:
-            self._lines.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._lines[line] = None
-        if len(self._lines) > self.capacity:
-            self._lines.popitem(last=False)
-        return False
-
-    def run(self, line_ids: np.ndarray) -> int:
-        """Feed a whole stream; returns the miss count."""
-        for line in np.asarray(line_ids).tolist():
-            self.access(int(line))
-        return self.misses

@@ -22,24 +22,316 @@ slowest thread sets the pace.
 ``zero_col_ind=True`` reproduces the paper's custom benchmark that zeroes
 the column indices of CSR so every x access hits the same cache line.
 
-:func:`simulate` delegates to the per-candidate plan layer
-(:mod:`repro.machine.plan`), which factors everything structure-dependent
-out of the per-(impl, threads) call; :func:`simulate_reference` preserves
-the original unfactored computation verbatim as the executable
-specification — the test suite asserts both produce bit-identical results.
+There is one simulator, :func:`simulate_plane`: it evaluates a *plane* of
+``(format, impl)`` cells at one (precision, thread count) with the cell
+index as an array axis.  :func:`simulate` is the one-cell call and
+:meth:`repro.machine.batch.MatrixProgram.evaluate` the whole-matrix one.
+Every float operation is elementwise with the same operands in the same
+order as the scalar formula above, and the only reduction across threads
+is ``max``, so a cell's result does not depend on which plane it rides in.
+
+The terms that depend only on a format *part* are memoised on the part,
+so every cell and every structure holding it (the fused planner shares one
+whole-pattern CSR between plain CSR and each decomposition without a full
+block) computes them once:
+
+* the row-cost prefix sums, per (machine, impl, precision), indexed by
+  every thread count;
+* the balanced row partition, per thread count;
+* the x-miss estimate, per (line size, budget).  It short-circuits
+  through an *exact* bound: if even the largest cache line a part can
+  reach (bounded by its shape without building its stream, else by the
+  stream's largest start) fits inside the budget, the distinct-line count
+  trivially does too (``estimate_stream_misses`` returns 0 whenever
+  ``distinct <= budget``).
+
+The unfactored per-cell computation is kept as the executable
+specification in :mod:`repro.oracle` (``simulate_reference``); the test
+suite asserts both produce bit-identical results.
 """
 
 from __future__ import annotations
 
-from ..errors import ModelError
-from ..formats.base import SparseFormat
-from ..parallel.partition import balanced_partition, stored_per_block_row
-from ..types import Impl, Precision
-from .cache import estimate_stream_misses_windowed, x_budget_lines
-from .machine import MachineModel
-from .plan import SimResult, get_plan
+from dataclasses import dataclass
+from typing import Sequence
 
-__all__ = ["SimResult", "simulate", "simulate_reference"]
+import numpy as np
+
+from ..errors import ModelError
+from ..formats.base import SparseFormat, XAccessStream
+from ..parallel.partition import (
+    RowPartition,
+    balanced_partition,
+    prefix_sums,
+    stored_per_block_row,
+)
+from ..types import Impl, Precision
+from .cache import estimate_stream_misses, x_budget_lines
+from .machine import MachineModel
+
+__all__ = ["SimResult", "simulate", "simulate_plane", "x_misses"]
+
+
+@dataclass(frozen=True)
+class SimResult:
+    """Breakdown of one simulated SpMV execution."""
+
+    t_total: float
+    t_mem: float
+    t_comp: float
+    t_comp_exposed: float
+    t_latency: float
+    ws_bytes: int
+    x_misses: int
+    nthreads: int
+    precision: Precision
+    impl: Impl
+
+    @property
+    def bound(self) -> str:
+        """Which resource dominates: ``"memory"``, ``"compute"`` or ``"latency"``."""
+        overlap_part = max(self.t_mem, self.t_comp - self.t_comp_exposed)
+        if self.t_latency >= overlap_part:
+            return "latency"
+        if self.t_mem >= self.t_comp - self.t_comp_exposed:
+            return "memory"
+        return "compute"
+
+
+# --------------------------------------------------------------------------- #
+# Per-part memos
+# --------------------------------------------------------------------------- #
+
+def _stream_max_line(stream: XAccessStream, line_elems: int) -> int:
+    """Largest cache-line id the stream can touch, without expanding it."""
+    if stream.widths is not None:
+        max_col = int((stream.starts + stream.widths - 1).max())
+    else:
+        max_col = int(stream.starts.max()) + stream.width - 1
+    return max(max_col, 0) // line_elems
+
+
+def _shape_max_col(part: SparseFormat) -> int | None:
+    """Largest x column the part's stream can reach, from its shape alone:
+    CSR, CSR-DU and 1D-VBL touch only stored columns; an aligned ``r x c``
+    block starts at a multiple of ``c`` below ``ncols``; a size-``b``
+    diagonal block starts at or left of its first element's column.
+    ``None`` for kinds without a known bound."""
+    kind, block = part.block_descriptor()
+    if kind in ("csr", "csr_du", "vbl"):
+        return part.ncols - 1
+    if kind == "bcsr":
+        c = block[1]
+        return -(-part.ncols // c) * c - 1
+    if kind == "bcsd":
+        return part.ncols + block - 2
+    return None
+
+
+def _estimate_part_misses(
+    part: SparseFormat, line_elems: int, budget: int
+) -> int:
+    if budget <= 0:
+        return 0
+    # Exact structural shortcut: estimate_stream_misses returns 0 whenever
+    # the distinct-line count fits the budget, and a max line inside the
+    # budget proves that.  The shape bound does so without building the
+    # stream (or materializing a lazily planned part's index values).
+    max_col = _shape_max_col(part)
+    if max_col is not None and max_col // line_elems + 1 <= budget:
+        return 0
+    stream = part.x_access_stream()
+    if len(stream) == 0:
+        return 0
+    if _stream_max_line(stream, line_elems) + 1 <= budget:
+        return 0
+    return int(estimate_stream_misses(stream.line_ids(line_elems), budget))
+
+
+def _part_misses(part: SparseFormat, line_elems: int, budget: int) -> int:
+    """The part's memoised x-miss estimate."""
+    cache = part.__dict__.setdefault("_x_miss_cache", {})
+    key = (line_elems, budget)
+    misses = cache.get(key)
+    if misses is None:
+        misses = _estimate_part_misses(part, line_elems, budget)
+        cache[key] = misses
+    return misses
+
+
+def _cost_prefix(
+    part: SparseFormat, machine: MachineModel, impl: Impl, precision: Precision
+) -> np.ndarray:
+    """Prefix sums of the part's per-block-row cycles (memoised on it).
+
+    The machine is keyed by identity; its entry keeps it alive, so the id
+    cannot be reused.
+    """
+    memo = part.__dict__.setdefault("_cost_prefixes", {})
+    key = (id(machine), impl, precision)
+    if key not in memo:
+        cycles = machine.costs.block_row_cycles(part, impl, precision)
+        memo[key] = (machine, prefix_sums(cycles))
+    return memo[key][1]
+
+
+def _partition(part: SparseFormat, nthreads: int) -> RowPartition:
+    """The part's balanced ``nthreads``-way row partition (memoised on it).
+
+    Partitions depend on the structure alone, so every cell of the part —
+    any precision, any machine, any impl — shares one per thread count.
+    """
+    memo = part.__dict__.setdefault("_row_partitions", {})
+    partition = memo.get(nthreads)
+    if partition is None:
+        weights = part.__dict__.get("_partition_weights")
+        if weights is None:
+            weights = stored_per_block_row(part)
+            part.__dict__["_partition_weights"] = weights
+        partition = balanced_partition(weights, nthreads)
+        memo[nthreads] = partition
+    return partition
+
+
+def _x_miss_term(
+    parts: Sequence[SparseFormat], ws: int, machine: MachineModel,
+    precision: Precision,
+) -> int:
+    if ws <= machine.l2.size_bytes:
+        return 0
+    line_elems = machine.l2.line_bytes // precision.itemsize
+    budget = x_budget_lines(
+        machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
+    )
+    return sum(_part_misses(part, line_elems, budget) for part in parts)
+
+
+def x_misses(
+    fmt: SparseFormat, machine: MachineModel, precision: Precision | str
+) -> int:
+    """The simulator's x-miss term for ``fmt``: 0 when its working set is
+    L2-resident, else the per-part estimates (memoised on each part)."""
+    precision = Precision.coerce(precision)
+    return _x_miss_term(
+        fmt.submatrices(), fmt.working_set(precision), machine, precision
+    )
+
+
+# --------------------------------------------------------------------------- #
+# The simulator
+# --------------------------------------------------------------------------- #
+
+def simulate_plane(
+    cells: Sequence[tuple[SparseFormat, Impl | str]],
+    machine: MachineModel,
+    precision: Precision | str = Precision.DP,
+    nthreads: int = 1,
+    *,
+    zero_col_ind: bool = False,
+) -> list[SimResult]:
+    """Simulate every ``(format, impl)`` cell at one (precision, threads).
+
+    Working sets, bandwidths, streaming-loss factors, start-up cycles and
+    x-miss counts are length-``ncells`` vectors; the per-part exposure
+    terms are an ``(ncells, nthreads)`` matrix accumulated per part *slot*
+    (slot 0 = the blocked part, slot 1 = a decomposition's remainder), each
+    slot adding into only the cells that have it.
+    """
+    precision = Precision.coerce(precision)
+    if nthreads < 1 or nthreads > machine.max_threads:
+        raise ModelError(
+            f"nthreads={nthreads} outside 1..{machine.max_threads} "
+            f"for machine {machine.name!r}"
+        )
+    costs = machine.costs
+    fmts = [fmt for fmt, _ in cells]
+    impls = [Impl.coerce(impl) for _, impl in cells]
+    parts = [tuple(fmt.submatrices()) for fmt in fmts]
+    ws = [fmt.working_set(precision) for fmt in fmts]
+
+    # --- the memory axis: ws / stream bandwidth x streaming loss ------- #
+    ws_int = np.array(ws, dtype=np.int64)
+    bw = np.where(
+        ws_int <= machine.l1.size_bytes,
+        machine.l1.bandwidth_bps,
+        np.where(
+            ws_int <= machine.l2.size_bytes,
+            machine.l2.bandwidth_bps,
+            machine.memory_bandwidth(nthreads),
+        ),
+    )
+    # Decomposed methods lose streaming efficiency to their multiple passes
+    # (paper Section III); the loss scales with how balanced the
+    # decomposition is.  A single pass's factor is exactly 1.0.
+    factor = np.ones(len(cells))
+    for j, (cell_parts, w) in enumerate(zip(parts, ws)):
+        if len(cell_parts) > 1:
+            factor[j] = machine.decomposition_mem_factor([
+                (p.working_set_matrix_only(precision) + p.vector_bytes(precision))
+                / w
+                for p in cell_parts
+            ])
+    t_mem = ws_int.astype(np.float64) / bw * factor
+
+    # --- the compute axis: per-part exposure, stacked over cells ------- #
+    overlappable = np.zeros((len(cells), nthreads))
+    exposed = np.zeros((len(cells), nthreads))
+    for slot in range(max((len(p) for p in parts), default=0)):
+        sel, etas, per_thread = [], [], []
+        for j, (cell_parts, impl) in enumerate(zip(parts, impls)):
+            if slot >= len(cell_parts):
+                continue
+            part = cell_parts[slot]
+            # The exposure fraction belongs to the kernel that actually
+            # runs: a CSR remainder of a SIMD decomposition stays scalar.
+            part_impl = costs.effective_impl(part, impl)
+            sel.append(j)
+            etas.append(machine.eta(part_impl))
+            per_thread.append(
+                _partition(part, nthreads).prefix_segment_sums(
+                    _cost_prefix(part, machine, part_impl, precision)
+                )
+            )
+        idx = np.array(sel, dtype=np.int64)
+        eta = np.array(etas, dtype=np.float64)[:, None]
+        pt = np.stack(per_thread)
+        overlappable[idx] += (1.0 - eta) * pt
+        exposed[idx] += eta * pt
+    # Pass start-up work (pointer setup, prefetch retrain) cannot overlap.
+    startup = np.array(
+        [costs.pass_startup_cycles * max(len(p) - 1, 0) for p in parts],
+        dtype=np.float64,
+    )
+    t_overlappable = overlappable.max(axis=1) / machine.clock_hz
+    exposed_s = (exposed + startup[:, None]).max(axis=1) / machine.clock_hz
+
+    # --- the latency axis ---------------------------------------------- #
+    misses = np.array(
+        [
+            0 if zero_col_ind else _x_miss_term(p, w, machine, precision)
+            for p, w in zip(parts, ws)
+        ],
+        dtype=np.int64,
+    )
+    t_lat = misses / nthreads * machine.effective_latency_s()
+
+    t_total = np.maximum(t_mem, t_overlappable) + exposed_s + t_lat
+    t_comp = t_overlappable + exposed_s
+    return [
+        SimResult(
+            t_total=float(t_total[j]),
+            t_mem=float(t_mem[j]),
+            t_comp=float(t_comp[j]),
+            t_comp_exposed=float(exposed_s[j]),
+            t_latency=float(t_lat[j]),
+            ws_bytes=ws[j],
+            x_misses=int(misses[j]),
+            nthreads=nthreads,
+            precision=precision,
+            impl=impls[j],
+        )
+        for j in range(len(cells))
+    ]
 
 
 def simulate(
@@ -52,102 +344,6 @@ def simulate(
     zero_col_ind: bool = False,
 ) -> SimResult:
     """Simulated steady-state time of one ``y = A @ x`` with ``fmt``."""
-    return get_plan(fmt, machine, precision).run(
-        impl, nthreads, zero_col_ind=zero_col_ind
-    )
-
-
-def simulate_reference(
-    fmt: SparseFormat,
-    machine: MachineModel,
-    precision: Precision | str = Precision.DP,
-    impl: Impl | str = Impl.SCALAR,
-    nthreads: int = 1,
-    *,
-    zero_col_ind: bool = False,
-) -> SimResult:
-    """The original per-call simulation path, preserved verbatim.
-
-    Recomputes every structure-dependent quantity on each call and runs the
-    windowed-loop miss estimator — exactly the code :func:`simulate` ran
-    before the plan layer existed.  Kept as the executable specification
-    for the bit-identity tests and as the baseline for
-    ``benchmarks/bench_sweep.py``; production code should call
-    :func:`simulate`.  Uses a separate x-miss memo key so its timing never
-    benefits from plan-path caching (and vice versa).
-    """
-    precision = Precision.coerce(precision)
-    impl = Impl.coerce(impl)
-    if nthreads < 1 or nthreads > machine.max_threads:
-        raise ModelError(
-            f"nthreads={nthreads} outside 1..{machine.max_threads} "
-            f"for machine {machine.name!r}"
-        )
-    costs = machine.costs
-
-    ws = fmt.working_set(precision)
-    parts = fmt.submatrices()
-    t_mem = ws / machine.stream_bandwidth(ws, nthreads)
-    if len(parts) > 1:
-        # Decomposed methods lose streaming efficiency to their multiple
-        # passes (paper Section III); the loss scales with how balanced the
-        # decomposition is.
-        shares = [
-            (p.working_set_matrix_only(precision) + p.vector_bytes(precision))
-            / ws
-            for p in parts
-        ]
-        t_mem *= machine.decomposition_mem_factor(shares)
-
-    # Per-thread compute cycles, part by part; x-miss latency per part.
-    overlappable_cycles = [0.0] * nthreads
-    exposed_cycles = [0.0] * nthreads
-    total_misses = 0
-    x_resident = ws <= machine.l2.size_bytes
-    line_elems = machine.l2.line_bytes // precision.itemsize
-    budget = x_budget_lines(
-        machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
-    )
-
-    # Pass start-up work (pointer setup, prefetch retrain) cannot overlap.
-    startup = costs.pass_startup_cycles * max(len(parts) - 1, 0)
-    for part in parts:
-        # The exposure fraction belongs to the kernel that actually runs:
-        # a CSR remainder of a SIMD decomposition still runs scalar code.
-        part_impl = costs.effective_impl(part, impl)
-        eta_part = machine.eta(part_impl)
-        row_cycles = costs.block_row_cycles(part, part_impl, precision)
-        partition = balanced_partition(stored_per_block_row(part), nthreads)
-        per_thread = partition.segment_sums(row_cycles)
-        for t in range(nthreads):
-            overlappable_cycles[t] += (1.0 - eta_part) * float(per_thread[t])
-            exposed_cycles[t] += eta_part * float(per_thread[t])
-        if x_resident or zero_col_ind:
-            continue
-        cache = part.__dict__.setdefault("_x_miss_cache_ref", {})
-        misses = cache.get((line_elems, budget))
-        if misses is None:
-            lines = part.x_access_stream().line_ids(line_elems)
-            misses = estimate_stream_misses_windowed(lines, budget)
-            cache[(line_elems, budget)] = misses
-        total_misses += misses
-
-    exposed_cycles = [c + startup for c in exposed_cycles]
-    t_overlappable = machine.cycles_to_seconds(max(overlappable_cycles))
-    exposed = machine.cycles_to_seconds(max(exposed_cycles))
-    t_comp_max = t_overlappable + exposed
-    t_lat_max = total_misses / nthreads * machine.effective_latency_s()
-
-    t_total = max(t_mem, t_overlappable) + exposed + t_lat_max
-    return SimResult(
-        t_total=t_total,
-        t_mem=t_mem,
-        t_comp=t_comp_max,
-        t_comp_exposed=exposed,
-        t_latency=t_lat_max,
-        ws_bytes=ws,
-        x_misses=total_misses,
-        nthreads=nthreads,
-        precision=precision,
-        impl=impl,
-    )
+    return simulate_plane(
+        [(fmt, impl)], machine, precision, nthreads, zero_col_ind=zero_col_ind
+    )[0]

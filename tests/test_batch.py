@@ -3,9 +3,9 @@
 The contract of :mod:`repro.machine.batch` is bit-identity, not closeness:
 every structure the fused planning pass builds must match the per-call
 converters array-for-array, and every cell :class:`MatrixProgram` evaluates
-must match the per-cell ``SimPlan.run`` / model-predict path float-for-
-float.  All comparisons here are exact (``==`` on dataclasses, dtype-aware
-``array_equal`` on arrays).
+must match the oracle's ``simulate_reference`` and the per-candidate
+model predictions float-for-float.  All comparisons here are exact (``==``
+on dataclasses, dtype-aware ``array_equal`` on arrays).
 """
 
 from __future__ import annotations
@@ -21,24 +21,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import (
-    MODEL_NAMES,
-    MatrixSweep,
-    SweepConfig,
-    SweepRecord,
-    SweepResult,
-    diff_sweep_results,
-)
+from repro.bench.harness import MODEL_NAMES
 from repro.core.candidates import Candidate, candidate_space, unique_structures
 from repro.core.profiling import ProfileCache
 from repro.core.selection import AutoTuner, build_candidate, evaluate_candidates
-from repro.errors import ModelError
 from repro.formats.coo import COOMatrix
 from repro.formats.csrdu import CSRDUMatrix
 from repro.machine.batch import MatrixProgram, _LazyCSR, plan_structures
 from repro.machine.cache import x_budget_lines
 from repro.machine.costs import KernelCostModel
-from repro.machine.plan import MAX_PLANS_PER_FORMAT, _shape_max_col, get_plan
+from repro.machine.executor import _shape_max_col, simulate
+from repro.oracle import simulate_reference
 from repro.types import Impl, Precision
 
 from .conftest import make_random_coo
@@ -163,8 +156,9 @@ class TestMatrixProgramEquivalence:
         self, coo, precision, nthreads, machine, profile_cache_both
     ):
         """Every (candidate, precision, threads) cell — simulated breakdown
-        and model predictions — is exactly what the sequential path
-        produces."""
+        and model predictions — is exactly what the oracle's simulator and
+        the per-candidate models produce on ``build_candidate``'s
+        structures."""
         candidates = (
             CANDIDATES
             if nthreads == 1
@@ -177,6 +171,7 @@ class TestMatrixProgramEquivalence:
         batched = program.evaluate(
             precision, nthreads, candidates, models=models
         )
+        fmt_cache: dict = {}
         reference = evaluate_candidates(
             coo,
             machine,
@@ -184,16 +179,22 @@ class TestMatrixProgramEquivalence:
             candidates=candidates,
             models=models,
             profile_cache=profile_cache_both,
+            run_simulation=False,
             nthreads=nthreads,
+            fmt_cache=fmt_cache,
         )
         assert len(batched) == len(reference)
         for got, want in zip(batched, reference):
-            assert got.candidate == want.candidate
+            cand = want.candidate
+            assert got.candidate == cand
             assert got.ws_bytes == want.ws_bytes
             assert got.padding_ratio == want.padding_ratio
             assert got.n_blocks == want.n_blocks
             # SimResult is a frozen dataclass: == is exact float equality.
-            assert got.sim == want.sim
+            assert got.sim == simulate_reference(
+                fmt_cache[(cand.kind, cand.block)],
+                machine, precision, cand.impl, nthreads,
+            )
             assert got.predictions == want.predictions
 
     def test_autotuner_batched_select_agrees(self, small_coo, machine):
@@ -205,6 +206,34 @@ class TestMatrixProgramEquivalence:
         )
         assert batched.candidate == plain.candidate
         assert batched.predictions == plain.predictions
+
+    def test_autotuner_batched_select_runs_no_simulator(
+        self, machine, monkeypatch
+    ):
+        """Selection reads only predictions: on a pattern whose x stream
+        overflows the cache budget, ``batch=True`` never reaches the
+        x-miss estimator and equals ``batch=False`` (``sim`` included)."""
+        import repro.machine.executor as executor
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("selection ran the x-miss estimator")
+
+        monkeypatch.setattr(executor, "estimate_stream_misses", refuse)
+        small = dataclasses.replace(
+            machine,
+            l1=dataclasses.replace(machine.l1, size_bytes=4 * 1024),
+            l2=dataclasses.replace(machine.l2, size_bytes=16 * 1024),
+        )
+        coo = make_random_coo(200, 6000, 4000, seed=5, with_values=False)
+        tuner = AutoTuner(small)
+        batched = tuner.select(coo, model="mem", batch=True)
+        assert batched == tuner.select(coo, model="mem", batch=False)
+        assert batched.sim is None
+        # The pattern does reach the estimator once a cell is simulated.
+        with pytest.raises(AssertionError, match="x-miss estimator"):
+            MatrixProgram(coo, small, [batched.candidate]).evaluate(
+                "dp", 1, [batched.candidate]
+            )
 
 
 def _assert_same_predictions(got, want) -> None:
@@ -311,8 +340,8 @@ class TestMatrixProgramPredict:
         self, machine, profile_cache_both, small_coo
     ):
         """With the cyclic GC off, every planned format dies with the
-        program: ``predict`` hangs no plan (or anything pointing back) on
-        a format, and reads no lazy index values."""
+        program: ``predict`` hangs nothing pointing back on a format, and
+        reads no lazy index values."""
         with _gc_disabled():
             program = MatrixProgram(
                 small_coo, machine, FULL_SPACE,
@@ -320,7 +349,6 @@ class TestMatrixProgramPredict:
             )
             program.predict("dp", 2, FULL_SPACE, models=MODEL_NAMES)
             fmts = list(program.fmt_cache.values())
-            assert not any("_sim_plans" in f.__dict__ for f in fmts)
             assert not any(
                 "_lazy_values" in part.__dict__
                 for f in fmts for part in f.submatrices()
@@ -387,7 +415,7 @@ class TestPerPartWork:
         """fdiff's case: ncols is exactly line_elems x budget at dp, so
         each DEC remainder's shape proves its x footprint fits, and
         ``evaluate`` never materializes its column indices — while every
-        cell still equals the per-cell path's."""
+        cell still equals the oracle's."""
         small = dataclasses.replace(
             machine,
             l1=dataclasses.replace(machine.l1, size_bytes=4 * 1024),
@@ -421,18 +449,25 @@ class TestPerPartWork:
             if isinstance(part, _LazyCSR)
         ]
         assert len(remainders) >= 10
-        fmt_cache: dict = {}
+        built = {
+            (kind, block): build_candidate(
+                coo, Candidate(kind, block, Impl.SCALAR)
+            )
+            for kind, block in unique_structures(FULL_SPACE)
+        }
         for precision in ("sp", "dp"):
             for nthreads in (1, 2, 4):
                 cells = program.evaluate(precision, nthreads, FULL_SPACE)
                 assert all(
                     cell.ws_bytes > small.l2.size_bytes for cell in cells
                 )
-                reference = evaluate_candidates(
-                    coo, small, precision, candidates=FULL_SPACE, models=(),
-                    nthreads=nthreads, fmt_cache=fmt_cache,
-                )
-                assert [c.sim for c in cells] == [r.sim for r in reference]
+                assert [c.sim for c in cells] == [
+                    simulate_reference(
+                        built[(c.kind, c.block)], small, precision,
+                        c.impl, nthreads,
+                    )
+                    for c in FULL_SPACE
+                ]
         assert not any("_lazy_values" in p.__dict__ for p in remainders)
 
     def test_whole_csr_part_is_shared(self, machine, monkeypatch):
@@ -479,9 +514,9 @@ def _gc_disabled():
 
 
 class TestPlansLeaveNoReferenceCycle:
-    """A :class:`SimPlan` is memoised on its format; it must not point
-    back strongly, or every planned format (index arrays, x streams)
-    outlives its last user until the cyclic GC happens to run."""
+    """The simulator's memos live on format parts and must not point back
+    strongly, or every simulated format (index arrays, x streams) outlives
+    its last user until the cyclic GC happens to run."""
 
     def test_evaluate(self, machine, profile_cache_both, small_coo):
         with _gc_disabled():
@@ -494,7 +529,6 @@ class TestPlansLeaveNoReferenceCycle:
                     precision, 2, FULL_SPACE, models=MODEL_NAMES
                 )
             fmts = list(program.fmt_cache.values())
-            assert all("_sim_plans" in f.__dict__ for f in fmts)
             refs = [weakref.ref(f) for f in fmts]
             del program, fmts
             assert [r for r in refs if r() is not None] == []
@@ -505,72 +539,11 @@ class TestPlansLeaveNoReferenceCycle:
          ("bcsd", 4), ("bcsd_dec", 2), ("vbl", None)],
     )
     def test_per_cell_plan(self, kind, block, machine, small_coo):
+        """``simulate()``, one cell at a time."""
         with _gc_disabled():
             fmt = build_candidate(small_coo, Candidate(kind, block, Impl.SCALAR))
             for nthreads in (1, 2):
-                get_plan(fmt, machine, "dp").run(Impl.SCALAR, nthreads)
+                simulate(fmt, machine, "dp", Impl.SCALAR, nthreads)
             ref = weakref.ref(fmt)
             del fmt
             assert ref() is None
-
-    def test_plan_of_a_freed_format_refuses_to_run(self, machine, small_coo):
-        fmt = build_candidate(small_coo, Candidate("csr", None, Impl.SCALAR))
-        plan = get_plan(fmt, machine, "dp")
-        del fmt
-        with pytest.raises(ModelError, match="no longer exists"):
-            plan.run(Impl.SCALAR, 1)
-
-
-class TestPlanMemoCap:
-    def test_lru_eviction_and_refresh(self, machine, small_coo):
-        fmt = build_candidate(small_coo, Candidate("csr", None, Impl.SCALAR))
-        # Keep every machine referenced: id() reuse after gc would alias keys.
-        machines = [
-            machine.with_overrides() for _ in range(MAX_PLANS_PER_FORMAT)
-        ]
-        plans = [get_plan(fmt, m, "dp") for m in machines]
-        assert len(fmt._sim_plans) == MAX_PLANS_PER_FORMAT
-
-        # A hit refreshes recency: the oldest entry survives the next insert.
-        assert get_plan(fmt, machines[0], "dp") is plans[0]
-        extra = machine.with_overrides()
-        get_plan(fmt, extra, "dp")
-        assert len(fmt._sim_plans) == MAX_PLANS_PER_FORMAT
-        assert (id(machines[0]), Precision.DP) in fmt._sim_plans
-        assert (id(machines[1]), Precision.DP) not in fmt._sim_plans
-        assert (id(extra), Precision.DP) in fmt._sim_plans
-
-
-class TestDiffSweepResults:
-    def _result(self, t_real=1.0):
-        record = SweepRecord(
-            kind="csr", block=None, impl="scalar", precision="dp",
-            nthreads=1, t_real=t_real, t_mem=0.5, t_comp=0.5,
-            t_latency=0.0, ws_bytes=100, padding_ratio=1.0, n_blocks=10,
-            predictions={"mem": 0.5},
-        )
-        matrix = MatrixSweep(
-            idx=1, name="dense", domain="d", geometry=False, special=False,
-            nrows=4, ncols=4, nnz=10, records=[record],
-        )
-        return SweepResult(
-            config=SweepConfig(suite_indices=(1,)),
-            matrices=[matrix],
-            elapsed_s=0.0,
-        )
-
-    def test_identical_sweeps_diff_clean(self):
-        assert diff_sweep_results(self._result(), self._result()) is None
-
-    def test_first_divergent_field_is_named(self):
-        diff = diff_sweep_results(
-            self._result(t_real=1.0), self._result(t_real=1.0 + 1e-15)
-        )
-        assert diff is not None
-        assert "t_real" in diff
-        assert "record 0" in diff
-
-    def test_missing_matrix_reported(self):
-        a, b = self._result(), self._result()
-        b.matrices = []
-        assert "matrix count" in diff_sweep_results(a, b)

@@ -1,4 +1,5 @@
-"""Tests for the cache models (windowed estimator + LRU oracle)."""
+"""Tests for the x-miss estimator against its oracles (the per-window loop
+and the exact LRU simulator of :mod:`repro.oracle`)."""
 
 import tracemalloc
 
@@ -7,12 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.cache import (
-    LRUCache,
-    estimate_stream_misses,
-    estimate_stream_misses_windowed,
-    x_budget_lines,
-)
+from repro.machine.cache import estimate_stream_misses, x_budget_lines
+from repro.oracle import LRUCache, estimate_stream_misses_windowed
 
 
 class TestBudget:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import get_model, profile_machine
+from repro.core.models import MODELS
 from repro.core.models_ext import (
     OverlapLatencyModel,
     estimate_format_misses,
@@ -12,6 +13,16 @@ from repro.errors import ModelError
 from repro.formats import build_format
 from repro.machine import CORE2_XEON, simulate
 from repro.matrices.generators import grid2d, powerlaw_graph
+
+
+@pytest.fixture
+def models_registry():
+    """The global model registry, restored after the test: registering
+    the extended models must not leak into other test modules."""
+    saved = dict(MODELS)
+    yield MODELS
+    MODELS.clear()
+    MODELS.update(saved)
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +95,7 @@ class TestOverlapLatModel:
         with pytest.raises(ModelError):
             OverlapLatencyModel().predict(csr, machine, "dp", "scalar", prof)
 
-    def test_registration(self):
+    def test_registration(self, models_registry):
         register_extended_models()
         assert get_model("overlap+lat").name == "overlap+lat"
+        assert "overlap+lat" in models_registry

@@ -1,8 +1,9 @@
-"""Tests for the simulation-plan layer and the profile warm start.
+"""Tests for the simulator against its oracle, and the profile warm start.
 
-The contract under test is *bit identity*: the plan-based ``simulate``,
-the disk-served profiles and the warm-started engine must reproduce the
-exact bytes the historical per-call path produced — no tolerances anywhere.
+The contract under test is *bit identity*: ``simulate`` (the one
+simulator's one-cell call), the disk-served profiles and the warm-started
+engine must reproduce the exact bytes of the reference path in
+:mod:`repro.oracle` — no tolerances anywhere.
 """
 
 import dataclasses
@@ -22,9 +23,9 @@ from repro.core.profiling import (
 )
 from repro.formats.coo import COOMatrix
 from repro.machine import get_preset
-from repro.machine.executor import simulate, simulate_reference
-from repro.machine.plan import get_plan
+from repro.machine.executor import simulate
 from repro.matrices.suite import get_entry
+from repro.oracle import reference_sweep, simulate_reference
 from repro.types import Impl, Precision
 
 from .conftest import make_random_coo
@@ -97,30 +98,22 @@ class TestPlanBitIdentity:
 
 
 class TestPlanReuse:
-    def test_plan_cached_per_machine_and_precision(self, machine):
-        fmt = _build(dense_coo(40), "bcsr", (2, 2))
-        p1 = get_plan(fmt, machine, "dp")
-        assert get_plan(fmt, machine, "dp") is p1
-        assert get_plan(fmt, machine, "sp") is not p1
-        other = get_preset("generic-modern")
-        assert get_plan(fmt, other, "dp") is not p1
-
     def test_cells_share_memoised_partitions(self, machine, monkeypatch):
         """Weights and partitions are built once per (part, nthreads) and
-        shared by every precision's plan; row-cost prefix sums once per
+        shared by every precision; row-cost prefix sums once per
         (precision, part, impl) and indexed by every thread count."""
-        import repro.machine.plan as plan_mod
+        import repro.machine.executor as executor
 
         calls = Counter()
 
         def counted(name):
-            fn = getattr(plan_mod, name)
+            fn = getattr(executor, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(plan_mod, name, wrapper)
+            monkeypatch.setattr(executor, name, wrapper)
 
         for name in ("stored_per_block_row", "balanced_partition", "prefix_sums"):
             counted(name)
@@ -147,15 +140,9 @@ class TestPlanReuse:
             for p in parts
         ]
         assert calls["prefix_sums"] == 2 * sum(impls_per_part)  # sp + dp
-        # The memos live on the structure, not on a precision's plan.
+        # The memos live on the structure's parts.
         for part in parts:
             assert sorted(part.__dict__["_row_partitions"]) == list(threads)
-
-    def test_run_cells_batches(self, machine):
-        fmt = _build(dense_coo(40), "csr", None)
-        plan = get_plan(fmt, machine, "dp")
-        cells = [(Impl.SCALAR, t) for t in (1, 2, 4)]
-        assert plan.run_cells(cells) == [plan.run(i, t) for i, t in cells]
 
 
 class TestProfilePersistence:
@@ -317,11 +304,10 @@ class TestPhaseTimings:
 @pytest.mark.slow
 class TestGoldenFingerprint:
     def test_reduced_sweep_reproduces_reference_bytes(self, machine):
-        """The end-to-end guarantee: both the per-cell SimPlan path and the
-        batched array program reproduce the preserved reference simulator's
-        sweep byte-for-byte over the reduced golden config, on matrices
-        covering the dense, regular-sparse and latency-bound regimes
-        (suite indices 1, 27, 30)."""
+        """The end-to-end guarantee: the production sweep reproduces the
+        oracle's reference sweep byte-for-byte over the reduced golden
+        config, on matrices covering the dense, regular-sparse and
+        latency-bound regimes (suite indices 1, 27, 30)."""
         config = SweepConfig(
             precisions=("dp",),
             thread_counts=(1,),
@@ -329,17 +315,10 @@ class TestGoldenFingerprint:
             suite_indices=(1, 27, 30),
         )
         shared = ProfileCache()
-        reference = run_sweep(
-            config=config,
-            machine=machine,
-            profile_cache=shared,
-            simulate_fn=simulate_reference,
+        reference = reference_sweep(
+            config, machine=machine, profile_cache=shared
         )
-        batched = run_sweep(
+        production = run_sweep(
             config=config, machine=machine, profile_cache=shared
         )
-        per_cell = run_sweep(
-            config=config, machine=machine, profile_cache=shared, batch=False
-        )
-        assert batched.canonical_json() == reference.canonical_json()
-        assert per_cell.canonical_json() == reference.canonical_json()
+        assert production.canonical_json() == reference.canonical_json()
