@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark harness.
 
 The table/figure benchmarks are projections of one full sweep over the
-30-matrix suite.  The sweep is expensive (~10 minutes) and therefore cached
-under ``.repro_cache/`` — the first benchmark run pays it, every later run
-reuses it.  Run ``python -m repro sweep --progress`` beforehand to watch it.
+30-matrix suite.  The sweep is expensive (~230 s of serial shard work) and
+therefore cached under ``.repro_cache/`` — the first benchmark run pays it,
+every later run reuses it.  Run ``python -m repro sweep --progress``
+beforehand to watch it.
 """
 
 from __future__ import annotations
@@ -11,13 +12,11 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.bench.harness import SweepConfig, load_or_run_sweep
-from repro.machine import CORE2_XEON
 
 
 @pytest.fixture(scope="session")
@@ -25,20 +24,3 @@ def sweep():
     """The full cached sweep (runs it on first use)."""
     return load_or_run_sweep(SweepConfig(), cache_dir=".repro_cache")
 
-
-@pytest.fixture(scope="session")
-def machine():
-    return CORE2_XEON
-
-
-@pytest.fixture(scope="session")
-def medium_fem():
-    """A medium FEM matrix with values, for wall-clock kernel benches."""
-    from repro.matrices.generators import grid2d, random_values
-
-    return random_values(grid2d(120, 120, 9, dof=3, drop_fraction=0.2), seed=1)
-
-
-@pytest.fixture(scope="session")
-def medium_x(medium_fem):
-    return np.random.default_rng(2).standard_normal(medium_fem.ncols)

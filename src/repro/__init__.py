@@ -4,10 +4,9 @@ ICPP 2009).
 
 The package implements, from scratch:
 
-* the blocking storage formats the paper evaluates (CSR, BCSR, BCSR-DEC,
-  BCSD, BCSD-DEC, 1D-VBL) plus the UBCSR and VBR extensions it describes
-  (:mod:`repro.formats`), with functional NumPy SpMV kernels
-  (:mod:`repro.kernels`);
+* the blocking storage formats the paper evaluates — CSR, BCSR, BCSR-DEC,
+  BCSD, BCSD-DEC and 1D-VBL (:mod:`repro.formats`) — with functional NumPy
+  SpMV kernels (:mod:`repro.kernels`);
 * the paper's testbed as an analytic execution simulator
   (:mod:`repro.machine`) — see DESIGN.md for the substitution rationale;
 * the MEM / MEMCOMP / OVERLAP performance models with profiling-based
@@ -46,13 +45,10 @@ from .formats import (
     COOMatrix,
     CSRMatrix,
     DecomposedMatrix,
-    UBCSRMatrix,
     VBLMatrix,
-    VBRMatrix,
     build_format,
 )
 from .machine import CORE2_XEON, GENERIC_MODERN, MachineModel, SimResult, simulate
-from .solvers import SolveResult, bicgstab, cg, jacobi, power_iteration
 from .types import BlockShape, Impl, Precision
 
 __version__ = "1.0.0"
@@ -66,8 +62,6 @@ __all__ = [
     "BCSDMatrix",
     "DecomposedMatrix",
     "VBLMatrix",
-    "UBCSRMatrix",
-    "VBRMatrix",
     "build_format",
     # core
     "AutoTuner",
@@ -87,12 +81,6 @@ __all__ = [
     "GENERIC_MODERN",
     "simulate",
     "SimResult",
-    # solvers
-    "SolveResult",
-    "cg",
-    "bicgstab",
-    "jacobi",
-    "power_iteration",
     # types
     "Precision",
     "Impl",

@@ -8,7 +8,7 @@ Path whitelists live with the project, not the code::
 
     [tool.reprolint.rules.determinism]
     model-paths = ["src/repro/machine", ...]
-    model-exclude = ["src/repro/machine/stream.py", ...]
+    model-exclude = ["src/repro/core/selection.py", ...]
 
 Every ``[tool.reprolint.rules.<rule-id>]`` table is handed verbatim to that
 rule's constructor; the common keys are ``paths`` / ``exclude`` (which files

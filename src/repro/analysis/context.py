@@ -98,12 +98,6 @@ class FileContext:
                 return anc
         return None
 
-    def enclosing_class(self, node: ast.AST) -> ast.ClassDef | None:
-        for anc in self.ancestors(node):
-            if isinstance(anc, ast.ClassDef):
-                return anc
-        return None
-
     def line_text(self, node: ast.AST) -> str:
         lineno = getattr(node, "lineno", 0)
         if 1 <= lineno <= len(self.lines):

@@ -31,8 +31,8 @@ Shipped rules:
     dropped progress lines.
 ``float-equality``
     No ``==`` / ``!=`` against non-zero float literals in model/simulator
-    code (comparisons with literal ``0.0`` — breakdown guards à la
-    ``krylov.py`` — are permitted).
+    code (comparisons with literal ``0.0`` — exact-zero guards such as
+    skipping a stored padding zero — are permitted).
 ``fault-site``
     Every ``fault_point("site")`` hook must name a site registered in
     :data:`repro.resilience.faults.SITE_CATALOG` — the one catalog fault
@@ -193,7 +193,6 @@ class DeterminismRule(Rule):
     )
     #: Timing/calibration modules: they measure the wall clock by design.
     default_model_exclude = (
-        "src/repro/machine/stream.py",
         "src/repro/core/selection.py",
         "src/repro/engine/pool.py",
         "src/repro/serve/service.py",
@@ -732,9 +731,9 @@ class FaultSiteRule(Rule):
 class FloatEqualityRule(Rule):
     """No exact equality against non-zero float literals in model code.
 
-    Comparisons with literal ``0.0`` are permitted: exact-zero breakdown
-    guards (``if beta == 0.0``) are the standard Krylov idiom and are
-    well-defined in IEEE 754.
+    Comparisons with literal ``0.0`` are permitted: exact-zero guards
+    (``if v != 0.0``, skipping a stored padding zero) are well-defined in
+    IEEE 754.
     """
 
     id = "float-equality"
@@ -743,7 +742,6 @@ class FloatEqualityRule(Rule):
         "src/repro/machine",
         "src/repro/core",
         "src/repro/formats",
-        "src/repro/solvers",
     )
 
     def check(self, ctx: FileContext) -> list[Finding]:

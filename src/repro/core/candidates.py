@@ -46,7 +46,7 @@ class Candidate:
                 raise ModelError(f"{self.kind} takes no block parameter")
             if self.impl is not Impl.SCALAR:
                 raise ModelError(f"{self.kind} has no SIMD kernel")
-        elif self.kind in ("bcsr", "bcsr_dec", "ubcsr"):
+        elif self.kind in ("bcsr", "bcsr_dec"):
             if not (isinstance(self.block, tuple) and len(self.block) == 2):
                 raise ModelError(f"{self.kind} needs an (r, c) block")
         elif self.kind in ("bcsd", "bcsd_dec"):
@@ -68,10 +68,6 @@ class Candidate:
         if self.impl is Impl.SIMD:
             parts.append("simd")
         return " ".join(parts)
-
-    @property
-    def is_blocked(self) -> bool:
-        return self.kind != "csr"
 
 
 def rect_shapes(max_elems: int = DEFAULT_MAX_BLOCK_ELEMS) -> list[BlockShape]:

@@ -81,7 +81,7 @@ class PerformanceModel(abc.ABC):
     @staticmethod
     def _reject_variable_blocks(fmt: SparseFormat, name: str) -> None:
         for part in fmt.submatrices():
-            if part.block_descriptor()[0] in ("vbl", "vbr"):
+            if part.block_descriptor()[0] == "vbl":
                 raise ModelError(
                     f"the {name} model only covers fixed-size blockings; "
                     f"got {part.block_descriptor()[0]}"

@@ -8,9 +8,7 @@ Exported classes:
 * :class:`BCSDMatrix` — aligned fixed-size diagonal blocks with padding,
 * :class:`DecomposedMatrix` (+ :func:`decompose_bcsr`, :func:`decompose_bcsd`)
   — padding-free decompositions with a CSR remainder,
-* :class:`VBLMatrix` — 1D variable-length horizontal blocks,
-* :class:`UBCSRMatrix`, :class:`VBRMatrix` — extensions described but not
-  benchmarked by the paper.
+* :class:`VBLMatrix` — 1D variable-length horizontal blocks.
 
 Use :func:`build_format` to construct any of them by kind name.
 """
@@ -21,38 +19,25 @@ from .bcsr import BCSRMatrix
 from .blockstats import BlockStats, bcsd_block_stats, bcsr_block_stats
 from .convert import FORMAT_KINDS, build_format, display_name
 from .coo import COOMatrix
-from .csrdu import CSRDUMatrix
-from .interop import from_scipy, to_scipy_coo, to_scipy_csr
-from .serialize import load_format, save_format
 from .csr import CSRMatrix
 from .decomposed import DecomposedMatrix, decompose_bcsd, decompose_bcsr
-from .ubcsr import UBCSRMatrix
 from .vbl import VBLMatrix
-from .vbr import VBRMatrix
 
 __all__ = [
     "SparseFormat",
     "XAccessStream",
     "COOMatrix",
     "CSRMatrix",
-    "CSRDUMatrix",
     "BCSRMatrix",
     "BCSDMatrix",
     "DecomposedMatrix",
     "decompose_bcsr",
     "decompose_bcsd",
     "VBLMatrix",
-    "UBCSRMatrix",
-    "VBRMatrix",
     "BlockStats",
     "bcsr_block_stats",
     "bcsd_block_stats",
     "build_format",
     "display_name",
     "FORMAT_KINDS",
-    "from_scipy",
-    "to_scipy_coo",
-    "to_scipy_csr",
-    "save_format",
-    "load_format",
 ]

@@ -229,12 +229,6 @@ class SparseFormat(abc.ABC):
     def to_dense(self) -> np.ndarray:
         """Expand to a dense 2-D array (tests and tiny examples only)."""
 
-    def diagonal(self) -> np.ndarray:
-        """The main diagonal as a dense vector (needed by Jacobi-type
-        solvers).  Subclasses override with O(nnz) extractions; the base
-        implementation densifies and is only acceptable for tiny matrices."""
-        return np.diagonal(self.to_dense()).copy()
-
     # ------------------------------------------------------------------ #
     # Shared helpers
     # ------------------------------------------------------------------ #

@@ -121,20 +121,6 @@ class BCSDMatrix(SparseFormat):
             np.arange(self.n_block_rows, dtype=np.int64), np.diff(self.brow_ptr)
         )
 
-    def diagonal(self) -> np.ndarray:
-        if not self.has_values:
-            raise FormatError("structure-only BCSD has no values to extract")
-        n = min(self.nrows, self.ncols)
-        diag = np.zeros(n, dtype=np.float64)
-        segs = self.segments_of_blocks()
-        # A block lies on the main diagonal iff it starts at column seg*b.
-        on_diag = np.flatnonzero(self.bcol_ind == segs * self.b)
-        for idx in on_diag.tolist():
-            start = int(segs[idx]) * self.b
-            stop = min(start + self.b, n)
-            diag[start:stop] = self.bval[idx, : stop - start]
-        return diag
-
     # ------------------------------------------------------------------ #
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x, out = self._check_spmv_operands(x, out)

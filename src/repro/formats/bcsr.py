@@ -118,24 +118,6 @@ class BCSRMatrix(SparseFormat):
             np.arange(self.n_block_rows, dtype=np.int64), np.diff(self.brow_ptr)
         )
 
-    def diagonal(self) -> np.ndarray:
-        if not self.has_values:
-            raise FormatError("structure-only BCSR has no values to extract")
-        r, c = self.block.r, self.block.c
-        n = min(self.nrows, self.ncols)
-        diag = np.zeros(n, dtype=np.float64)
-        i0 = self.block_rows_of_blocks() * r
-        j0 = self.bcol_ind * c
-        # Within a block, (a, b) lies on the diagonal iff b = a + (i0 - j0).
-        a = np.arange(r, dtype=np.int64)[None, :]
-        b = a + (i0 - j0)[:, None]
-        valid = (b >= 0) & (b < c)
-        rows_all = i0[:, None] + a
-        valid &= rows_all < n
-        blk, aa = np.nonzero(valid)
-        diag[rows_all[valid]] = self.bval[blk, aa, b[valid]]
-        return diag
-
     # ------------------------------------------------------------------ #
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x, out = self._check_spmv_operands(x, out)

@@ -17,12 +17,9 @@ from .base import SparseFormat
 from .bcsd import BCSDMatrix
 from .bcsr import BCSRMatrix
 from .coo import COOMatrix
-from .csrdu import CSRDUMatrix
 from .csr import CSRMatrix
 from .decomposed import decompose_bcsd, decompose_bcsr
-from .ubcsr import UBCSRMatrix
 from .vbl import VBLMatrix
-from .vbr import VBRMatrix
 
 __all__ = ["build_format", "FORMAT_KINDS", "display_name"]
 
@@ -34,9 +31,6 @@ FORMAT_KINDS = (
     "bcsd",
     "bcsd_dec",
     "vbl",
-    "ubcsr",
-    "vbr",
-    "csr_du",
 )
 
 _DISPLAY = {
@@ -46,9 +40,6 @@ _DISPLAY = {
     "bcsd": "BCSD",
     "bcsd_dec": "BCSD-DEC",
     "vbl": "1D-VBL",
-    "ubcsr": "UBCSR",
-    "vbr": "VBR",
-    "csr_du": "CSR-DU",
 }
 
 
@@ -71,7 +62,7 @@ def build_format(
 
     ``block`` is an ``(r, c)`` pair (or :class:`~repro.types.BlockShape`)
     for the rectangular formats, an ``int`` diagonal size for the BCSD
-    family, and must be ``None`` for CSR / 1D-VBL / VBR.
+    family, and must be ``None`` for CSR / 1D-VBL.
     """
     builder = _BUILDERS.get(kind)
     if builder is None:
@@ -122,16 +113,5 @@ _BUILDERS: dict[str, Callable[[COOMatrix, object, bool], SparseFormat]] = {
     "vbl": lambda coo, blk, wv: (
         _no_block("vbl", blk),
         VBLMatrix.from_coo(coo, with_values=wv),
-    )[1],
-    "ubcsr": lambda coo, blk, wv: UBCSRMatrix.from_coo(
-        coo, _need_shape("ubcsr", blk), with_values=wv
-    ),
-    "vbr": lambda coo, blk, wv: (
-        _no_block("vbr", blk),
-        VBRMatrix.from_coo(coo, with_values=wv),
-    )[1],
-    "csr_du": lambda coo, blk, wv: (
-        _no_block("csr_du", blk),
-        CSRDUMatrix.from_coo(coo, with_values=wv),
     )[1],
 }

@@ -141,14 +141,6 @@ class COOMatrix(SparseFormat):
     # ------------------------------------------------------------------ #
     # Analysis helpers used by converters and statistics
     # ------------------------------------------------------------------ #
-    def diagonal(self) -> np.ndarray:
-        if not self.has_values:
-            raise FormatError("structure-only COO has no values to extract")
-        diag = np.zeros(min(self.nrows, self.ncols), dtype=np.float64)
-        mask = self.rows == self.cols
-        diag[self.rows[mask]] = self.values[mask]
-        return diag
-
     def to_coo(self) -> "COOMatrix":
         return self
 

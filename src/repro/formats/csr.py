@@ -99,16 +99,6 @@ class CSRMatrix(SparseFormat):
     def row_lengths(self) -> np.ndarray:
         return np.diff(self.row_ptr)
 
-    def diagonal(self) -> np.ndarray:
-        if not self.has_values:
-            raise FormatError("structure-only CSR has no values to extract")
-        diag = np.zeros(min(self.nrows, self.ncols), dtype=np.float64)
-        rows = np.repeat(np.arange(self.nrows, dtype=np.int64),
-                         np.diff(self.row_ptr))
-        mask = rows == self.col_ind
-        diag[rows[mask]] = np.asarray(self.values)[mask]
-        return diag
-
     # ------------------------------------------------------------------ #
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x, out = self._check_spmv_operands(x, out)

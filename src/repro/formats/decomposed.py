@@ -120,14 +120,6 @@ class DecomposedMatrix(SparseFormat):
             np.concatenate([p.values for p in parts]),
         )
 
-    def diagonal(self) -> np.ndarray:
-        if not self.has_values:
-            raise FormatError("structure-only decomposition has no values")
-        diag = np.zeros(min(self.nrows, self.ncols), dtype=np.float64)
-        for part in self.parts:
-            diag += part.diagonal()
-        return diag
-
     def to_dense(self) -> np.ndarray:
         if not self.has_values:
             raise FormatError("structure-only decomposition cannot be densified")

@@ -162,21 +162,6 @@ class VBLMatrix(SparseFormat):
         np.cumsum(self.blk_size.astype(np.int64), out=off[1:])
         return off[:-1]
 
-    def diagonal(self) -> np.ndarray:
-        if not self.has_values:
-            raise FormatError("structure-only 1D-VBL has no values to extract")
-        n = min(self.nrows, self.ncols)
-        diag = np.zeros(n, dtype=np.float64)
-        rows = self.rows_of_blocks()
-        offs = self.value_offsets()
-        sizes = self.blk_size.astype(np.int64)
-        # Blocks whose column span [start, start+size) crosses their row.
-        hit = (self.bcol_ind <= rows) & (rows < self.bcol_ind + sizes)
-        hit &= rows < n
-        sel = np.flatnonzero(hit)
-        diag[rows[sel]] = self.values[offs[sel] + (rows[sel] - self.bcol_ind[sel])]
-        return diag
-
     def to_coo(self) -> COOMatrix:
         """Export the (padding-free) entries back to COO."""
         if not self.has_values:

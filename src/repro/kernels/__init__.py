@@ -6,27 +6,20 @@ reference used by the test suite.
 """
 
 from .bcsd_kernels import spmv_bcsd, spmv_bcsd_scalar
-from .bcsr_kernels import spmv_bcsr, spmv_bcsr_scalar, spmv_ubcsr
+from .bcsr_kernels import spmv_bcsr, spmv_bcsr_scalar
 from .csr_kernels import spmv_csr, spmv_csr_scalar
-from .opcount import OpCount, count_ops, useful_ops
 from .reference import spmv_coo_loop, spmv_dense_reference
 from .vbl_kernels import spmv_vbl, spmv_vbl_scalar
-from .vbr_kernels import spmv_vbr
 
 __all__ = [
     "spmv_csr",
     "spmv_csr_scalar",
     "spmv_bcsr",
     "spmv_bcsr_scalar",
-    "spmv_ubcsr",
     "spmv_bcsd",
     "spmv_bcsd_scalar",
     "spmv_vbl",
     "spmv_vbl_scalar",
-    "spmv_vbr",
     "spmv_dense_reference",
     "spmv_coo_loop",
-    "OpCount",
-    "count_ops",
-    "useful_ops",
 ]

@@ -1,4 +1,4 @@
-"""BCSR and UBCSR SpMV kernels.
+"""BCSR SpMV kernels.
 
 The vectorized BCSR kernel processes all blocks at once: the relevant
 ``c``-wide slices of x are gathered into an ``(nb, c)`` matrix, each block
@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..formats.bcsr import BCSRMatrix
-from ..formats.ubcsr import UBCSRMatrix
 
-__all__ = ["spmv_bcsr", "spmv_bcsr_scalar", "spmv_ubcsr"]
+__all__ = ["spmv_bcsr", "spmv_bcsr_scalar"]
 
 
 def spmv_bcsr(bcsr: BCSRMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -55,20 +54,4 @@ def spmv_bcsr_scalar(bcsr: BCSRMatrix, x: np.ndarray, out: np.ndarray) -> np.nda
                 if j0 + bj < bcsr.ncols:
                     acc += bcsr.bval[idx, bi, bj] * x[j0 + bj]
             out[i0 + bi] += acc
-    return out
-
-
-def spmv_ubcsr(ub: UBCSRMatrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Vectorized UBCSR SpMV (unaligned columns), accumulating into ``out``."""
-    if ub.n_blocks == 0:
-        return out
-    r, c = ub.block.r, ub.block.c
-    # Column starts are arbitrary, so pad x on the right by c.
-    xpad = np.zeros(x.shape[0] + c, dtype=x.dtype)
-    xpad[: x.shape[0]] = x
-    xg = xpad[ub.bcol_start[:, None] + np.arange(c)]
-    partial = np.einsum("brc,bc->br", ub.bval, xg)
-    ypad = np.zeros((ub.n_block_rows, r), dtype=out.dtype)
-    np.add.at(ypad, ub.block_rows_of_blocks(), partial)
-    out += ypad.reshape(-1)[: out.shape[0]]
     return out

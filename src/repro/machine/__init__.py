@@ -11,7 +11,7 @@ from .costs import KernelCostModel
 from .executor import SimResult, simulate, simulate_plane
 from .machine import CacheLevel, MachineModel
 from .presets import CORE2_XEON, GENERIC_MODERN, PRESETS, get_preset
-from .stream import StreamResult, measure_host_stream, simulated_stream
+from .stream import StreamResult, simulated_stream
 
 __all__ = [
     "CacheLevel",
@@ -28,5 +28,4 @@ __all__ = [
     "get_preset",
     "StreamResult",
     "simulated_stream",
-    "measure_host_stream",
 ]

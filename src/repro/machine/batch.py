@@ -622,7 +622,7 @@ class MatrixProgram:
                 covered = [
                     j for j, cell_parts in enumerate(parts)
                     if all(
-                        part.block_descriptor()[0] not in ("vbl", "vbr")
+                        part.block_descriptor()[0] != "vbl"
                         for part in cell_parts
                     )
                 ]

@@ -51,12 +51,6 @@ class KernelCostModel:
     csr_elem_cycles: dict[str, float] = field(
         default_factory=lambda: {"sp": 3.0, "dp": 3.2}
     )
-    #: CSR-DU decodes a delta per element on top of the fma (shift+add).
-    csrdu_elem_cycles: dict[str, float] = field(
-        default_factory=lambda: {"sp": 3.8, "dp": 4.0}
-    )
-    #: Per-unit header decode (flags, count, base column).
-    csrdu_unit_overhead: float = 12.0
     #: One packed vector op (load + mul + add on a full SIMD register).
     vecop_cycles: float = 2.4
     #: Horizontal reduction of a SIMD register into one scalar lane.
@@ -74,8 +68,6 @@ class KernelCostModel:
     #: size-byte decode plus (typically) a branch misprediction — the
     #: "extra level of indirection" the paper blames for 1D-VBL's losses.
     vbl_block_overhead: float = 25.0
-    ubcsr_extra_overhead: float = 0.5
-    vbr_block_overhead: float = 8.0
     #: Outer-loop overhead per (block-)row.
     row_overhead_cycles: float = 9.0
     #: Fixed start-up cost of each additional pass of a decomposed method.
@@ -150,27 +142,9 @@ class KernelCostModel:
                 raise ModelError("CSR has no SIMD kernel in this study")
             per_row_elems = np.diff(part.row_ptr)
             cycles += per_row_elems * self.csr_elem_cycles[precision.value]
-        elif kind == "csr_du":
-            if impl is not Impl.SCALAR:
-                raise ModelError("CSR-DU has no SIMD kernel in this study")
-            elems_per_row = np.bincount(
-                part.rows_of_elements(), minlength=n_rows
-            )
-            units_per_row = np.bincount(part.unit_row, minlength=n_rows)
-            cycles += (
-                elems_per_row * self.csrdu_elem_cycles[precision.value]
-                + units_per_row * self.csrdu_unit_overhead
-            )
         elif kind == "bcsr":
             r, c = part.block
             per = self.rect_block_cycles(r, c, impl, precision)
-            cycles += np.diff(part.brow_ptr) * per
-        elif kind == "ubcsr":
-            r, c = part.block
-            per = (
-                self.rect_block_cycles(r, c, impl, precision)
-                + self.ubcsr_extra_overhead
-            )
             cycles += np.diff(part.brow_ptr) * per
         elif kind == "bcsd":
             per = self.diag_block_cycles(part.b, impl, precision)
@@ -186,14 +160,6 @@ class KernelCostModel:
             cycles += (
                 blocks_per_row * self.vbl_block_overhead + elems_per_row * elem
             )
-        elif kind == "vbr":
-            fma = self.fma_cycles[Precision.coerce(precision).value]
-            blocks_per_row = np.diff(part.bpntr)
-            # Stored elements per block row, from the block value offsets.
-            elems = np.diff(part.indx)
-            elems_per_row = np.zeros(n_rows)
-            np.add.at(elems_per_row, part.block_rows_of_blocks(), elems)
-            cycles += blocks_per_row * self.vbr_block_overhead + elems_per_row * fma
         else:
             raise ModelError(f"no cost model for format kind {kind!r}")
         return cycles
@@ -220,6 +186,6 @@ class KernelCostModel:
     def effective_impl(part: SparseFormat, impl: Impl | str) -> Impl:
         """The implementation a part actually runs (CSR/VBL stay scalar)."""
         impl = Impl.coerce(impl)
-        if part.block_descriptor()[0] in ("csr", "csr_du", "vbl"):
+        if part.block_descriptor()[0] in ("csr", "vbl"):
             return Impl.SCALAR
         return impl

@@ -113,12 +113,12 @@ def _stream_max_line(stream: XAccessStream, line_elems: int) -> int:
 
 def _shape_max_col(part: SparseFormat) -> int | None:
     """Largest x column the part's stream can reach, from its shape alone:
-    CSR, CSR-DU and 1D-VBL touch only stored columns; an aligned ``r x c``
+    CSR and 1D-VBL touch only stored columns; an aligned ``r x c``
     block starts at a multiple of ``c`` below ``ncols``; a size-``b``
     diagonal block starts at or left of its first element's column.
     ``None`` for kinds without a known bound."""
     kind, block = part.block_descriptor()
-    if kind in ("csr", "csr_du", "vbl"):
+    if kind in ("csr", "vbl"):
         return part.ncols - 1
     if kind == "bcsr":
         c = block[1]

@@ -1,24 +1,18 @@
-"""STREAM-style bandwidth measurement, simulated and real.
+"""STREAM-style bandwidth measurement on the simulated machine.
 
 The paper calibrates its MEM model with the STREAM benchmark (3.36 GiB/s on
 the testbed).  :func:`simulated_stream` reads the machine model's bandwidth
 curve back out through a triad-shaped workload, verifying the simulator is
-self-consistent; :func:`measure_host_stream` runs an actual NumPy triad on
-the host — used by an example to show how a real machine would be
-calibrated, *not* by the reproduction (pure-Python kernel timing is not
-architecture-representative; see DESIGN.md).
+self-consistent.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-
-import numpy as np
 
 from .machine import MachineModel
 
-__all__ = ["StreamResult", "simulated_stream", "measure_host_stream"]
+__all__ = ["StreamResult", "simulated_stream"]
 
 
 @dataclass(frozen=True)
@@ -44,18 +38,3 @@ def simulated_stream(
     bytes_moved = 3 * 8 * n
     bw = machine.stream_bandwidth(bytes_moved, nthreads)
     return StreamResult(bytes_moved=bytes_moved, seconds=bytes_moved / bw)
-
-
-def measure_host_stream(n: int = 4_000_000, repeats: int = 5) -> StreamResult:
-    """Measure a NumPy triad on the host machine (best of ``repeats``)."""
-    rng = np.random.default_rng(1234)
-    b = rng.standard_normal(n)
-    c = rng.standard_normal(n)
-    a = np.empty_like(b)
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.multiply(c, 3.0, out=a)
-        a += b
-        best = min(best, time.perf_counter() - t0)
-    return StreamResult(bytes_moved=3 * 8 * n, seconds=best)

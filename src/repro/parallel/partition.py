@@ -91,22 +91,12 @@ def stored_per_block_row(part: SparseFormat) -> np.ndarray:
     kind = part.block_descriptor()[0]
     if kind == "csr":
         return np.diff(part.row_ptr).astype(np.float64)
-    if kind in ("bcsr", "ubcsr"):
+    if kind == "bcsr":
         return np.diff(part.brow_ptr).astype(np.float64) * part.block.elems
     if kind == "bcsd":
         return np.diff(part.brow_ptr).astype(np.float64) * part.b
     if kind == "vbl":
         return np.diff(part.row_ptr).astype(np.float64)
-    if kind == "csr_du":
-        return np.bincount(
-            part.rows_of_elements(), minlength=part.n_block_rows
-        ).astype(np.float64)
-    if kind == "vbr":
-        n_rows = part.n_block_rows
-        elems = np.diff(part.indx).astype(np.float64)
-        out = np.zeros(n_rows)
-        np.add.at(out, part.block_rows_of_blocks(), elems)
-        return out
     raise ModelError(f"no partition weights for format kind {kind!r}")
 
 
@@ -117,12 +107,10 @@ def block_ptr_of(part: SparseFormat) -> np.ndarray:
     stream entries ``ptr[b_t] : ptr[b_{t+1}]``.
     """
     kind = part.block_descriptor()[0]
-    if kind in ("bcsr", "ubcsr", "bcsd"):
+    if kind in ("bcsr", "bcsd"):
         return part.brow_ptr
     if kind == "csr":
         return part.row_ptr
     if kind == "vbl":
         return part.block_row_ptr
-    if kind == "vbr":
-        return part.bpntr
     raise ModelError(f"no block pointer for format kind {kind!r}")

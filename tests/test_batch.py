@@ -26,7 +26,6 @@ from repro.core.candidates import Candidate, candidate_space, unique_structures
 from repro.core.profiling import ProfileCache
 from repro.core.selection import AutoTuner, build_candidate, evaluate_candidates
 from repro.formats.coo import COOMatrix
-from repro.formats.csrdu import CSRDUMatrix
 from repro.machine.batch import MatrixProgram, _LazyCSR, plan_structures
 from repro.machine.cache import x_budget_lines
 from repro.machine.costs import KernelCostModel
@@ -401,7 +400,7 @@ class TestPerPartWork:
             build_candidate(coo, Candidate(kind, block, Impl.SCALAR))
             for kind, block in structures
         ]
-        fmts = [*fused.values(), *built, CSRDUMatrix.from_coo(coo)]
+        fmts = [*fused.values(), *built]
         for fmt in fmts:
             for part in fmt.submatrices():
                 bound = _shape_max_col(part)

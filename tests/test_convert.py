@@ -17,18 +17,19 @@ class TestRegistry:
     def test_all_kinds_listed(self):
         assert set(FORMAT_KINDS) == {
             "csr", "bcsr", "bcsr_dec", "bcsd", "bcsd_dec", "vbl",
-            "ubcsr", "vbr", "csr_du",
         }
 
     def test_display_names(self):
         assert display_name("bcsr_dec") == "BCSR-DEC"
         assert display_name("vbl") == "1D-VBL"
-        with pytest.raises(ConversionError):
-            display_name("csc")
+        for kind in ("csc", "ubcsr", "vbr", "csr_du"):
+            with pytest.raises(ConversionError):
+                display_name(kind)
 
     def test_unknown_kind(self, coo):
-        with pytest.raises(ConversionError):
-            build_format(coo, "ellpack")
+        for kind in ("ellpack", "ubcsr", "vbr", "csr_du"):
+            with pytest.raises(ConversionError):
+                build_format(coo, kind)
 
 
 class TestParameterValidation:
@@ -61,8 +62,7 @@ class TestParameterValidation:
     @pytest.mark.parametrize("kind", FORMAT_KINDS)
     def test_structure_only_has_no_values(self, coo, kind):
         block = {
-            "bcsr": (2, 2), "bcsr_dec": (2, 2), "ubcsr": (2, 2),
-            "bcsd": 3, "bcsd_dec": 3,
+            "bcsr": (2, 2), "bcsr_dec": (2, 2), "bcsd": 3, "bcsd_dec": 3,
         }.get(kind)
         fmt = build_format(coo, kind, block, with_values=False)
         assert not fmt.has_values

@@ -77,8 +77,7 @@ class TestBlockRowCycles:
             COSTS.block_row_cycles(vbl, Impl.SIMD, "dp")
 
     @pytest.mark.parametrize("kind,block", [
-        ("bcsr", (2, 2)), ("bcsd", 4), ("vbl", None), ("ubcsr", (2, 2)),
-        ("vbr", None),
+        ("bcsr", (2, 2)), ("bcsd", 4), ("vbl", None),
     ])
     def test_rows_sum_positive(self, kind, block):
         coo = make_random_coo(24, 24, 100, seed=54, with_values=False)

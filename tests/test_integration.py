@@ -94,7 +94,6 @@ class TestNumericalConsistencyAcrossFormats:
         for kind, block in [
             ("csr", None), ("bcsr", (2, 2)), ("bcsr_dec", (2, 2)),
             ("bcsd", 3), ("bcsd_dec", 3), ("vbl", None),
-            ("ubcsr", (2, 3)), ("vbr", None),
         ]:
             y = build_format(coo, kind, block).spmv(x)
             if reference is None:

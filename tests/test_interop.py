@@ -1,12 +1,9 @@
-"""Tests for SciPy interop and the to_coo extraction API."""
+"""Tests for the to_coo extraction API: every format hands back its COO."""
 
 import numpy as np
 import pytest
-from scipy import sparse
 
-from repro.errors import ConversionError
 from repro.formats import COOMatrix, build_format
-from repro.formats.interop import from_scipy, to_scipy_coo, to_scipy_csr
 
 
 def make_coo(seed=41, n=50, m=44, nnz=400):
@@ -17,73 +14,10 @@ def make_coo(seed=41, n=50, m=44, nnz=400):
     )
 
 
-class TestFromScipy:
-    @pytest.mark.parametrize("builder", [
-        sparse.coo_matrix, sparse.csr_matrix, sparse.csc_matrix,
-    ])
-    def test_all_scipy_layouts(self, builder):
-        rng = np.random.default_rng(1)
-        dense = rng.standard_normal((20, 30)) * (rng.random((20, 30)) < 0.3)
-        coo = from_scipy(builder(dense))
-        np.testing.assert_allclose(coo.to_dense(), dense)
-
-    def test_rejects_non_scipy(self):
-        with pytest.raises(ConversionError):
-            from_scipy(np.zeros((3, 3)))
-
-    def test_merges_scipy_duplicates(self):
-        sp = sparse.coo_matrix(
-            (np.array([1.0, 2.0]), (np.array([0, 0]), np.array([1, 1]))),
-            shape=(2, 2),
-        )
-        coo = from_scipy(sp)
-        assert coo.nnz == 1
-        assert coo.to_dense()[0, 1] == 3.0
-
-
-class TestToScipy:
-    @pytest.mark.parametrize("kind,block", [
-        ("csr", None), ("bcsr", (2, 3)), ("bcsr_dec", (2, 2)),
-        ("bcsd", 4), ("bcsd_dec", 3), ("vbl", None), ("ubcsr", (3, 2)),
-        ("vbr", None),
-    ])
-    def test_round_trip_every_format(self, kind, block):
-        coo = make_coo()
-        fmt = build_format(coo, kind, block)
-        sp = to_scipy_coo(fmt)
-        np.testing.assert_allclose(sp.toarray(), coo.to_dense())
-        # Padding was dropped: SciPy holds exactly the true nonzeros.
-        assert sp.nnz == coo.nnz
-
-    def test_to_scipy_csr(self):
-        coo = make_coo(seed=42)
-        sp = to_scipy_csr(coo)
-        assert sparse.issparse(sp) and sp.format == "csr"
-        np.testing.assert_allclose(sp.toarray(), coo.to_dense())
-
-    def test_structure_only_rejected(self):
-        coo = make_coo().pattern_only()
-        with pytest.raises(ConversionError):
-            to_scipy_csr(coo)
-        fmt = build_format(coo, "bcsr", (2, 2), with_values=False)
-        with pytest.raises(ConversionError):
-            to_scipy_coo(fmt)
-
-    def test_spmv_agrees_with_scipy(self):
-        """Cross-validation: our kernels vs SciPy's on the same matrix."""
-        coo = make_coo(seed=43)
-        x = np.random.default_rng(2).standard_normal(coo.ncols)
-        expected = to_scipy_csr(coo) @ x
-        for kind, block in [("csr", None), ("bcsr", (2, 2)), ("vbl", None)]:
-            fmt = build_format(coo, kind, block)
-            np.testing.assert_allclose(fmt.spmv(x), expected, rtol=1e-10)
-
-
 class TestToCoo:
     @pytest.mark.parametrize("kind,block", [
         ("csr", None), ("bcsr", (2, 3)), ("bcsr_dec", (2, 2)),
-        ("bcsd", 4), ("bcsd_dec", 3), ("vbl", None), ("ubcsr", (3, 2)),
-        ("vbr", None),
+        ("bcsd", 4), ("bcsd_dec", 3), ("vbl", None),
     ])
     def test_exact_round_trip(self, kind, block):
         coo = make_coo(seed=44)

@@ -93,8 +93,6 @@ class TestFormatWeights:
         ("bcsr", (2, 3)),
         ("bcsd", 4),
         ("vbl", None),
-        ("ubcsr", (2, 2)),
-        ("vbr", None),
     ])
     def test_weights_sum_to_stored(self, kind, block):
         coo = make_random_coo(36, 36, 200, seed=61, with_values=False)

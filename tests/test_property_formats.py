@@ -80,23 +80,14 @@ class TestSpmvAgreesWithDense:
 
     @given(coo=coo_matrices())
     @settings(max_examples=40, deadline=None)
-    def test_csr_vbl_vbr(self, coo):
+    def test_csr_vbl(self, coo):
         x = _x_for(coo)
         expected = coo.to_dense() @ x
-        for kind in ("csr", "vbl", "vbr"):
+        for kind in ("csr", "vbl"):
             fmt = build_format(coo, kind)
             np.testing.assert_allclose(
                 fmt.spmv(x), expected, rtol=1e-10, atol=1e-10
             )
-
-    @given(coo=coo_matrices(), block=st.sampled_from(RECT_BLOCKS))
-    @settings(max_examples=25, deadline=None)
-    def test_ubcsr(self, coo, block):
-        fmt = build_format(coo, "ubcsr", block)
-        x = _x_for(coo)
-        np.testing.assert_allclose(
-            fmt.spmv(x), coo.to_dense() @ x, rtol=1e-10, atol=1e-10
-        )
 
 
 class TestStructuralInvariants:

@@ -63,6 +63,8 @@ class TestCandidateSpace:
             Candidate("bcsd", (2, 2), Impl.SCALAR)
         with pytest.raises(ModelError):
             Candidate("cso", None, Impl.SCALAR)
+        with pytest.raises(ModelError):
+            Candidate("ubcsr", (2, 2), Impl.SCALAR)
 
     def test_labels(self):
         assert Candidate("bcsr", (2, 4), Impl.SIMD).label == "BCSR 2x4 simd"

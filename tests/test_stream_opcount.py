@@ -1,13 +1,8 @@
-"""Tests for the STREAM benchmark helpers and the op-count accounting."""
+"""Tests for the simulated STREAM benchmark."""
 
-import numpy as np
 import pytest
 
-from repro.formats import build_format
-from repro.kernels import OpCount, count_ops, useful_ops
-from repro.machine import CORE2_XEON, measure_host_stream, simulated_stream
-
-from .conftest import make_random_coo
+from repro.machine import CORE2_XEON, StreamResult, simulated_stream
 
 
 class TestSimulatedStream:
@@ -32,48 +27,6 @@ class TestSimulatedStream:
         res = simulated_stream(CORE2_XEON, n=1000)
         assert res.bytes_moved == 3 * 8 * 1000
 
-
-class TestHostStream:
-    def test_measures_something_positive(self):
-        res = measure_host_stream(n=200_000, repeats=2)
-        assert res.seconds > 0
-        assert res.bandwidth_bps > 1e8  # any machine beats 100 MB/s
-
     def test_zero_seconds_guard(self):
-        from repro.machine.stream import StreamResult
-
         assert StreamResult(bytes_moved=10, seconds=0.0).bandwidth_bps == 0.0
 
-
-class TestOpCount:
-    def test_csr_counts(self):
-        coo = make_random_coo(30, 30, 200, seed=81)
-        csr = build_format(coo, "csr")
-        ops = count_ops(csr)
-        assert ops.multiplies == coo.nnz
-        assert ops.additions == coo.nnz
-        assert ops.total == 2 * coo.nnz
-
-    def test_padding_counted(self):
-        coo = make_random_coo(30, 30, 120, seed=82)
-        bcsr = build_format(coo, "bcsr", (2, 4))
-        ops = count_ops(bcsr)
-        assert ops.multiplies == bcsr.nnz_stored > coo.nnz
-
-    def test_decomposed_pays_accumulate(self):
-        from tests.test_decomposed import make_blocky_coo
-
-        coo = make_blocky_coo()
-        dec = build_format(coo, "bcsr_dec", (2, 2))
-        assert len(dec.submatrices()) == 2
-        ops = count_ops(dec)
-        assert ops.additions == dec.nnz_stored + dec.nrows
-
-    def test_useful_ops(self):
-        coo = make_random_coo(30, 30, 120, seed=83)
-        bcsr = build_format(coo, "bcsr", (2, 4))
-        assert useful_ops(bcsr) == 2 * coo.nnz
-        assert useful_ops(bcsr) < count_ops(bcsr).total
-
-    def test_opcount_is_value_type(self):
-        assert OpCount(1, 2) == OpCount(1, 2)

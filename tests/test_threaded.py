@@ -63,7 +63,9 @@ class TestRowBlockSlice:
             row_block_slice(fmt, 0, fmt.n_block_rows + 1)
 
     def test_unsupported_kind(self, coo):
-        fmt = build_format(coo, "vbr")
+        # A decomposed format is sliced pass by pass (ThreadedSpMV), never
+        # as a whole.
+        fmt = build_format(coo, "bcsr_dec", (2, 2))
         with pytest.raises(ModelError):
             row_block_slice(fmt, 0, 1)
 
@@ -114,34 +116,3 @@ class TestThreadedSpMV:
         mv = ThreadedSpMV(fmt, 2)
         with pytest.raises(FormatError):
             mv(np.ones(coo.ncols + 1))
-
-    def test_solver_integration(self):
-        """CG driven by the threaded SpMV converges identically."""
-        from repro.matrices.generators import grid2d
-        from repro.solvers import cg
-
-        stencil = grid2d(16, 16, 5)
-        A = stencil.with_values(
-            np.where(stencil.rows == stencil.cols, 4.0, -1.0)
-        )
-        fmt = build_format(A, "csr")
-        mv = ThreadedSpMV(fmt, 2)
-
-        class _Wrapper:
-            nrows = ncols = A.nrows
-            has_values = True
-
-            @staticmethod
-            def spmv(x, out=None):
-                return mv(x, out=out)
-
-            @staticmethod
-            def diagonal():
-                return fmt.diagonal()
-
-        rng = np.random.default_rng(75)
-        x_true = rng.standard_normal(A.nrows)
-        b = A.to_dense() @ x_true
-        res = cg(_Wrapper, b, tol=1e-10, max_iter=2000)
-        assert res.converged
-        np.testing.assert_allclose(res.x, x_true, atol=1e-6)

@@ -66,9 +66,3 @@ class TestFormatStreamsAreElementExact:
         bcsd = build_format(coo, "bcsd", 4, with_values=False)
         cols = bcsd.x_access_stream().element_columns()
         assert cols.shape[0] == bcsd.n_blocks * 4
-
-    def test_vbr_stream_element_count(self, small_coo):
-        vbr = build_format(small_coo, "vbr", with_values=False)
-        assert (
-            vbr.x_access_stream().n_elements == vbr.nnz_stored
-        )
