@@ -23,10 +23,12 @@ per-phase breakdown of both paths.
 The golden config never reaches the x-miss estimator (its matrices are
 x-resident or inside the budget), so the full run adds two sections:
 
-* **x_miss** — ``estimate_stream_misses`` against the per-window loop
-  ``estimate_stream_misses_windowed`` on every out-of-budget dp element
-  stream of fdiff (suite #23) under the paper config, counts asserted
-  equal stream by stream;
+* **x_miss** — the simulator's estimator path,
+  ``estimate_x_access_misses`` on each part's access stream, against the
+  per-window loop ``estimate_stream_misses_windowed`` over the expanded
+  ``stream.line_ids(...)``, on every out-of-budget dp stream of fdiff
+  (suite #23) under the paper config; both timings include the line-id
+  expansion, and the counts are asserted equal stream by stream;
 * **calibration** — ``profile_machine`` for sp and dp building its
   profiling structures through the per-shape converters against the
   fused ``plan_structures`` pass, profiles asserted identical.
@@ -39,7 +41,9 @@ Usage::
 The full run asserts the acceptance bar (batched >= 7.5x over the
 reference) and the golden canonical sha; ``--smoke`` asserts its own
 pinned sha through the batched path plus that batching beats the
-reference at all, sized for a CI minute.
+reference at all, then runs the x_miss leg once and fails on any count
+mismatch or if the estimator is not faster than the windowed spec; it is
+sized for a CI minute.
 """
 
 from __future__ import annotations
@@ -144,8 +148,8 @@ def _best_of(rounds: int, fn):
 
 
 def _out_of_budget_streams(idx: int, machine, precision: str) -> list:
-    """Element line streams of ``idx`` whose distinct lines exceed the
-    budget, over every paper-config structure that is not x-resident."""
+    """Access streams of ``idx`` whose distinct lines exceed the budget,
+    over every paper-config structure that is not x-resident."""
     import numpy as np
 
     from repro.core.candidates import candidate_space, unique_structures
@@ -167,33 +171,43 @@ def _out_of_budget_streams(idx: int, machine, precision: str) -> list:
         if fmt.working_set(precision) <= machine.l2.size_bytes:
             continue
         for part in fmt.submatrices():
-            lines = part.x_access_stream().line_ids(line_elems)
+            stream = part.x_access_stream()
+            lines = stream.line_ids(line_elems)
             if (
                 lines.size
                 and lines.max() >= budget
                 and np.unique(lines).shape[0] > budget
             ):
-                streams.append(lines)
+                streams.append(stream)
     return streams
 
 
 def bench_x_miss(machine, rounds: int) -> dict:
-    """The estimator against its per-window loop spec on fdiff's streams."""
-    from repro.machine.cache import estimate_stream_misses, x_budget_lines
+    """The estimator's stream path against its per-window loop spec on
+    fdiff's streams, line-id expansion included on both sides."""
+    from repro.machine.cache import estimate_x_access_misses, x_budget_lines
     from repro.oracle import estimate_stream_misses_windowed
+    from repro.types import Precision
 
     streams = _out_of_budget_streams(XMISS_INDEX, machine, "dp")
     if not streams:
         raise SystemExit("FATAL: no out-of-budget stream to time")
+    line_elems = machine.l2.line_bytes // Precision.DP.itemsize
     budget = x_budget_lines(
         machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
     )
     fast, t_fast = _best_of(
-        rounds, lambda: [estimate_stream_misses(s, budget) for s in streams]
+        rounds,
+        lambda: [
+            estimate_x_access_misses(s, line_elems, budget) for s in streams
+        ],
     )
     spec, t_spec = _best_of(
         rounds,
-        lambda: [estimate_stream_misses_windowed(s, budget) for s in streams],
+        lambda: [
+            estimate_stream_misses_windowed(s.line_ids(line_elems), budget)
+            for s in streams
+        ],
     )
     if fast != spec:
         raise SystemExit("FATAL: estimator disagrees with the windowed spec")
@@ -202,7 +216,7 @@ def bench_x_miss(machine, rounds: int) -> dict:
         "precision": "dp",
         "budget_lines": budget,
         "streams": len(streams),
-        "elements": int(sum(s.shape[0] for s in streams)),
+        "elements": int(sum(s.n_elements for s in streams)),
         "misses": int(sum(fast)),
         "windowed_s": round(t_spec, 3),
         "estimator_s": round(t_fast, 3),
@@ -291,7 +305,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one tiny matrix, one round, no JSON output (CI signal)",
+        help="one tiny matrix and one x_miss round, no JSON output (CI signal)",
     )
     parser.add_argument(
         "--rounds", type=int, default=2,
@@ -324,6 +338,9 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    from repro.machine.presets import get_preset
+
+    machine = get_preset(_config(indices).machine_name)
     if args.smoke:
         if payload["speedup"] <= 1.0:
             print(
@@ -331,11 +348,17 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
+        x_miss = bench_x_miss(machine, rounds)
+        print(f"x_miss: {x_miss['speedup']:.2f}x {json.dumps(x_miss)}")
+        if x_miss["speedup"] <= 1.0:
+            print(
+                "FAIL: the x-miss estimator is not faster than the "
+                "windowed spec",
+                file=sys.stderr,
+            )
+            return 1
         return 0
 
-    from repro.machine.presets import get_preset
-
-    machine = get_preset(_config(indices).machine_name)
     payload["x_miss"] = bench_x_miss(machine, rounds)
     payload["calibration"] = bench_calibration(machine, rounds)
     for name in ("x_miss", "calibration"):

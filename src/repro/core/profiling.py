@@ -228,7 +228,7 @@ def _calibrate_latency(
     the effect, subtract what the calibrated model already explains, and
     normalise by the structural estimate of the effect's magnitude.
     """
-    from ..machine.cache import estimate_stream_misses, x_budget_lines
+    from ..machine.cache import estimate_x_access_misses, x_budget_lines
 
     rng = np.random.default_rng(20090701)
     line_elems = machine.l2.line_bytes // precision.itemsize
@@ -246,9 +246,7 @@ def _calibrate_latency(
     predicted = csr.working_set(precision) / machine.memory_bandwidth(1) + (
         profile.nof[key] * csr.n_blocks * profile.t_b[key]
     )
-    misses = estimate_stream_misses(
-        csr.x_access_stream().line_ids(line_elems), budget
-    )
+    misses = estimate_x_access_misses(csr.x_access_stream(), line_elems, budget)
     if misses <= 0:
         raise ProfileError(
             "latency calibration matrix produced no estimated misses; "

@@ -6,7 +6,11 @@ replaced by an analytic simulator and how the analytic performance models
 remain honestly separated from it.
 """
 
-from .cache import estimate_stream_misses, x_budget_lines
+from .cache import (
+    estimate_stream_misses,
+    estimate_x_access_misses,
+    x_budget_lines,
+)
 from .costs import KernelCostModel
 from .executor import SimResult, simulate, simulate_plane
 from .machine import CacheLevel, MachineModel
@@ -21,6 +25,7 @@ __all__ = [
     "simulate",
     "simulate_plane",
     "estimate_stream_misses",
+    "estimate_x_access_misses",
     "x_budget_lines",
     "CORE2_XEON",
     "GENERIC_MODERN",

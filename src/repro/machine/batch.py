@@ -78,7 +78,7 @@ from ..formats.csr import CSRMatrix
 from ..formats.decomposed import DecomposedMatrix
 from ..formats.vbl import VBLMatrix
 from ..types import VBL_MAX_BLOCK, BlockShape, Impl, Precision
-from .executor import simulate_plane
+from .executor import simulate_cells
 from .machine import MachineModel
 
 __all__ = ["plan_structures", "MatrixProgram"]
@@ -539,13 +539,17 @@ class MatrixProgram:
         attach (MEMCOMP/OVERLAP skip candidates they do not cover, as in
         the paper).
         """
+        precision = Precision.coerce(precision)
         t0 = self._clock() if self._clock else 0.0
-        sims = simulate_plane(
-            [(self.fmt_cache[(c.kind, c.block)], c.impl) for c in candidates],
+        fmts, parts, ws = self._plane(precision, candidates)
+        sims = simulate_cells(
+            parts, ws, [c.impl for c in candidates],
             self.machine, precision, nthreads,
         )
         self._charge("simulate", t0)
-        cells = self.predict(precision, nthreads, candidates, models=models)
+        cells = self._cells(
+            candidates, fmts, parts, ws, precision, nthreads, tuple(models)
+        )
         for cell, sim in zip(cells, sims):
             cell.sim = sim
         return cells
@@ -566,8 +570,42 @@ class MatrixProgram:
         bit-identical to ``evaluate_candidates(..., run_simulation=False)``.
         """
         precision = Precision.coerce(precision)
-        fmts = [self.fmt_cache[(c.kind, c.block)] for c in candidates]
-        ws = [fmt.working_set(precision) for fmt in fmts]
+        return self._cells(
+            candidates, *self._plane(precision, candidates),
+            precision, nthreads, tuple(models),
+        )
+
+    def _plane(
+        self, precision: Precision, candidates: Sequence[Candidate]
+    ) -> tuple[list, list, list[int]]:
+        """Each cell's structure, submatrices and working set, computed
+        once per structure (its scalar and SIMD cells share them)."""
+        per_structure: dict = {}
+        fmts, parts, ws = [], [], []
+        for cand in candidates:
+            key = (cand.kind, cand.block)
+            entry = per_structure.get(key)
+            if entry is None:
+                fmt = self.fmt_cache[key]
+                entry = per_structure[key] = (
+                    fmt, tuple(fmt.submatrices()), fmt.working_set(precision)
+                )
+            fmts.append(entry[0])
+            parts.append(entry[1])
+            ws.append(entry[2])
+        return fmts, parts, ws
+
+    def _cells(
+        self,
+        candidates: Sequence[Candidate],
+        fmts: list[SparseFormat],
+        parts: list[tuple[SparseFormat, ...]],
+        ws: list[int],
+        precision: Precision,
+        nthreads: int,
+        models: tuple[str, ...],
+    ) -> list[CandidateResult]:
+        """One plane's results with the requested model predictions."""
         cells = [
             CandidateResult(
                 candidate=cand,
@@ -577,11 +615,9 @@ class MatrixProgram:
             )
             for cand, fmt, w in zip(candidates, fmts, ws)
         ]
-        models = tuple(models)
         if models:
             self._predict(
-                cells, [tuple(fmt.submatrices()) for fmt in fmts],
-                np.array(ws, dtype=np.int64).astype(np.float64),
+                cells, parts, np.array(ws, dtype=np.int64).astype(np.float64),
                 precision, nthreads, models,
             )
         return cells

@@ -30,6 +30,7 @@ import numpy as np
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat
+from ..parallel.partition import row_counts
 from ..types import Impl, Precision
 
 __all__ = ["KernelCostModel"]
@@ -125,44 +126,50 @@ class KernelCostModel:
         part: SparseFormat,
         impl: Impl | str,
         precision: Precision | str,
+        *,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Compute cycles of each block row of a *non-decomposed* part.
 
-        Returns an array of length ``part.n_block_rows``; its sum is the
-        part's total compute cost.  Used both for whole-matrix simulation
-        and for load-balanced multicore partitioning.
+        Returns an array of length ``part.n_block_rows`` (written into
+        ``out`` when given); its sum is the part's total compute cost.
+        Used both for whole-matrix simulation and for load-balanced
+        multicore partitioning.  Each row is its block (or element) count
+        times the per-block cost, plus the row overhead; the counts are
+        the part's memoised pointer differences.
         """
         impl = Impl.coerce(impl)
         precision = Precision.coerce(precision)
         kind = part.block_descriptor()[0]
-        n_rows = part.n_block_rows
-        cycles = np.full(n_rows, self.row_overhead_cycles, dtype=np.float64)
+        if out is None:
+            out = np.empty(part.n_block_rows, dtype=np.float64)
         if kind == "csr":
             if impl is not Impl.SCALAR:
                 raise ModelError("CSR has no SIMD kernel in this study")
-            per_row_elems = np.diff(part.row_ptr)
-            cycles += per_row_elems * self.csr_elem_cycles[precision.value]
+            per = self.csr_elem_cycles[precision.value]
+            np.multiply(row_counts(part, "row_ptr"), per, out=out)
         elif kind == "bcsr":
             r, c = part.block
             per = self.rect_block_cycles(r, c, impl, precision)
-            cycles += np.diff(part.brow_ptr) * per
+            np.multiply(row_counts(part, "brow_ptr"), per, out=out)
         elif kind == "bcsd":
             per = self.diag_block_cycles(part.b, impl, precision)
-            cycles += np.diff(part.brow_ptr) * per
+            np.multiply(row_counts(part, "brow_ptr"), per, out=out)
         elif kind == "vbl":
             if impl is not Impl.SCALAR:
                 raise ModelError("1D-VBL has no SIMD kernel in this study")
             # Per element, 1D-VBL pays CSR-like indirect-access cost (the
             # value stream is walked through a second level of indexing).
-            elem = self.csr_elem_cycles[Precision.coerce(precision).value]
-            blocks_per_row = np.diff(part.block_row_ptr)
-            elems_per_row = np.diff(part.row_ptr)
-            cycles += (
-                blocks_per_row * self.vbl_block_overhead + elems_per_row * elem
+            elem = self.csr_elem_cycles[precision.value]
+            np.multiply(
+                row_counts(part, "block_row_ptr"), self.vbl_block_overhead,
+                out=out,
             )
+            out += row_counts(part, "row_ptr") * elem
         else:
             raise ModelError(f"no cost model for format kind {kind!r}")
-        return cycles
+        out += self.row_overhead_cycles
+        return out
 
     def compute_cycles(
         self,

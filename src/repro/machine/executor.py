@@ -25,25 +25,32 @@ the column indices of CSR so every x access hits the same cache line.
 There is one simulator, :func:`simulate_plane`: it evaluates a *plane* of
 ``(format, impl)`` cells at one (precision, thread count) with the cell
 index as an array axis.  :func:`simulate` is the one-cell call and
-:meth:`repro.machine.batch.MatrixProgram.evaluate` the whole-matrix one.
-Every float operation is elementwise with the same operands in the same
-order as the scalar formula above, and the only reduction across threads
-is ``max``, so a cell's result does not depend on which plane it rides in.
+:meth:`repro.machine.batch.MatrixProgram.evaluate` the whole-matrix one,
+which hands :func:`simulate_cells` the submatrices and working sets it
+already computed for its models.  Every float operation is elementwise
+with the same operands in the same order as the scalar formula above, and
+the only reduction across threads is ``max``, so a cell's result does not
+depend on which plane it rides in.
 
 The terms that depend only on a format *part* are memoised on the part,
 so every cell and every structure holding it (the fused planner shares one
 whole-pattern CSR between plain CSR and each decomposition without a full
 block) computes them once:
 
+* the per-block-row counts (``np.diff`` of its row pointers, as float64;
+  :func:`repro.parallel.partition.row_counts`), which every row cost
+  reads;
 * the row-cost prefix sums, per (machine, impl, precision), indexed by
   every thread count;
-* the balanced row partition, per thread count;
-* the x-miss estimate, per (line size, budget).  It short-circuits
-  through an *exact* bound: if even the largest cache line a part can
-  reach (bounded by its shape without building its stream, else by the
-  stream's largest start) fits inside the budget, the distinct-line count
-  trivially does too (``estimate_stream_misses`` returns 0 whenever
-  ``distinct <= budget``).
+* the running partition weight, read off its block-row pointer, and from
+  it the balanced row partition per thread count;
+* the x-miss estimate, per (line size, budget).  The estimator
+  (:func:`repro.machine.cache.estimate_x_access_misses`) expands the
+  part's access stream one window at a time and returns 0 at once when
+  the stream's line span fits the budget.  Before building the stream at
+  all, an *exact* bound from the part's shape settles the parts whose
+  largest reachable line fits: the distinct-line count trivially does
+  too, and the estimator returns 0 whenever ``distinct <= budget``.
 
 The unfactored per-cell computation is kept as the executable
 specification in :mod:`repro.oracle` (``simulate_reference``); the test
@@ -58,18 +65,19 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import ModelError
-from ..formats.base import SparseFormat, XAccessStream
+from ..formats.base import SparseFormat
 from ..parallel.partition import (
     RowPartition,
-    balanced_partition,
-    prefix_sums,
-    stored_per_block_row,
+    cumulative_partition,
+    cumulative_weights,
 )
 from ..types import Impl, Precision
-from .cache import estimate_stream_misses, x_budget_lines
+from .cache import estimate_x_access_misses, x_budget_lines
 from .machine import MachineModel
 
-__all__ = ["SimResult", "simulate", "simulate_plane", "x_misses"]
+__all__ = [
+    "SimResult", "simulate", "simulate_cells", "simulate_plane", "x_misses",
+]
 
 
 @dataclass(frozen=True)
@@ -102,15 +110,6 @@ class SimResult:
 # Per-part memos
 # --------------------------------------------------------------------------- #
 
-def _stream_max_line(stream: XAccessStream, line_elems: int) -> int:
-    """Largest cache-line id the stream can touch, without expanding it."""
-    if stream.widths is not None:
-        max_col = int((stream.starts + stream.widths - 1).max())
-    else:
-        max_col = int(stream.starts.max()) + stream.width - 1
-    return max(max_col, 0) // line_elems
-
-
 def _shape_max_col(part: SparseFormat) -> int | None:
     """Largest x column the part's stream can reach, from its shape alone:
     CSR and 1D-VBL touch only stored columns; an aligned ``r x c``
@@ -133,19 +132,15 @@ def _estimate_part_misses(
 ) -> int:
     if budget <= 0:
         return 0
-    # Exact structural shortcut: estimate_stream_misses returns 0 whenever
-    # the distinct-line count fits the budget, and a max line inside the
+    # Exact structural shortcut: the estimator returns 0 whenever the
+    # distinct-line count fits the budget, and a max line inside the
     # budget proves that.  The shape bound does so without building the
-    # stream (or materializing a lazily planned part's index values).
+    # stream (or materializing a lazily planned part's index values); the
+    # estimator settles a stream whose line span fits on its own.
     max_col = _shape_max_col(part)
     if max_col is not None and max_col // line_elems + 1 <= budget:
         return 0
-    stream = part.x_access_stream()
-    if len(stream) == 0:
-        return 0
-    if _stream_max_line(stream, line_elems) + 1 <= budget:
-        return 0
-    return int(estimate_stream_misses(stream.line_ids(line_elems), budget))
+    return estimate_x_access_misses(part.x_access_stream(), line_elems, budget)
 
 
 def _part_misses(part: SparseFormat, line_elems: int, budget: int) -> int:
@@ -164,14 +159,19 @@ def _cost_prefix(
 ) -> np.ndarray:
     """Prefix sums of the part's per-block-row cycles (memoised on it).
 
-    The machine is keyed by identity; its entry keeps it alive, so the id
-    cannot be reused.
+    Built in one ``n + 1`` array: the row cycles are written after its
+    leading 0 and summed in place.  The machine is keyed by identity; its
+    entry keeps it alive, so the id cannot be reused.
     """
     memo = part.__dict__.setdefault("_cost_prefixes", {})
     key = (id(machine), impl, precision)
     if key not in memo:
-        cycles = machine.costs.block_row_cycles(part, impl, precision)
-        memo[key] = (machine, prefix_sums(cycles))
+        prefix = np.empty(part.n_block_rows + 1, dtype=np.float64)
+        prefix[0] = 0.0
+        cycles = prefix[1:]
+        machine.costs.block_row_cycles(part, impl, precision, out=cycles)
+        np.cumsum(cycles, out=cycles)
+        memo[key] = (machine, prefix)
     return memo[key][1]
 
 
@@ -179,16 +179,17 @@ def _partition(part: SparseFormat, nthreads: int) -> RowPartition:
     """The part's balanced ``nthreads``-way row partition (memoised on it).
 
     Partitions depend on the structure alone, so every cell of the part —
-    any precision, any machine, any impl — shares one per thread count.
+    any precision, any machine, any impl — shares one per thread count,
+    and every thread count reads one running weight sum.
     """
     memo = part.__dict__.setdefault("_row_partitions", {})
     partition = memo.get(nthreads)
     if partition is None:
-        weights = part.__dict__.get("_partition_weights")
-        if weights is None:
-            weights = stored_per_block_row(part)
-            part.__dict__["_partition_weights"] = weights
-        partition = balanced_partition(weights, nthreads)
+        csum = part.__dict__.get("_cumulative_weights")
+        if csum is None:
+            csum = cumulative_weights(part)
+            part.__dict__["_cumulative_weights"] = csum
+        partition = cumulative_partition(csum, nthreads)
         memo[nthreads] = partition
     return partition
 
@@ -229,7 +230,29 @@ def simulate_plane(
     *,
     zero_col_ind: bool = False,
 ) -> list[SimResult]:
-    """Simulate every ``(format, impl)`` cell at one (precision, threads).
+    """Simulate every ``(format, impl)`` cell at one (precision, threads)."""
+    precision = Precision.coerce(precision)
+    fmts = [fmt for fmt, _ in cells]
+    return simulate_cells(
+        [tuple(fmt.submatrices()) for fmt in fmts],
+        [fmt.working_set(precision) for fmt in fmts],
+        [impl for _, impl in cells],
+        machine, precision, nthreads, zero_col_ind=zero_col_ind,
+    )
+
+
+def simulate_cells(
+    parts: Sequence[tuple[SparseFormat, ...]],
+    ws: Sequence[int],
+    impls: Sequence[Impl | str],
+    machine: MachineModel,
+    precision: Precision | str,
+    nthreads: int,
+    *,
+    zero_col_ind: bool = False,
+) -> list[SimResult]:
+    """:func:`simulate_plane` over cells given by their submatrices,
+    working sets and impls, for callers that already hold them.
 
     Working sets, bandwidths, streaming-loss factors, start-up cycles and
     x-miss counts are length-``ncells`` vectors; the per-part exposure
@@ -244,10 +267,7 @@ def simulate_plane(
             f"for machine {machine.name!r}"
         )
     costs = machine.costs
-    fmts = [fmt for fmt, _ in cells]
-    impls = [Impl.coerce(impl) for _, impl in cells]
-    parts = [tuple(fmt.submatrices()) for fmt in fmts]
-    ws = [fmt.working_set(precision) for fmt in fmts]
+    impls = [Impl.coerce(impl) for impl in impls]
 
     # --- the memory axis: ws / stream bandwidth x streaming loss ------- #
     ws_int = np.array(ws, dtype=np.int64)
@@ -263,7 +283,7 @@ def simulate_plane(
     # Decomposed methods lose streaming efficiency to their multiple passes
     # (paper Section III); the loss scales with how balanced the
     # decomposition is.  A single pass's factor is exactly 1.0.
-    factor = np.ones(len(cells))
+    factor = np.ones(len(ws))
     for j, (cell_parts, w) in enumerate(zip(parts, ws)):
         if len(cell_parts) > 1:
             factor[j] = machine.decomposition_mem_factor([
@@ -274,8 +294,8 @@ def simulate_plane(
     t_mem = ws_int.astype(np.float64) / bw * factor
 
     # --- the compute axis: per-part exposure, stacked over cells ------- #
-    overlappable = np.zeros((len(cells), nthreads))
-    exposed = np.zeros((len(cells), nthreads))
+    overlappable = np.zeros((len(ws), nthreads))
+    exposed = np.zeros((len(ws), nthreads))
     for slot in range(max((len(p) for p in parts), default=0)):
         sel, etas, per_thread = [], [], []
         for j, (cell_parts, impl) in enumerate(zip(parts, impls)):
@@ -330,7 +350,7 @@ def simulate_plane(
             precision=precision,
             impl=impls[j],
         )
-        for j in range(len(cells))
+        for j in range(len(ws))
     ]
 
 

@@ -7,14 +7,17 @@ paths to these slower, unfactored ones bit for bit:
 * :func:`estimate_stream_misses_windowed` — the x-miss estimator as the
   original per-window Python loop (``np.unique`` per window, ``np.isin``
   per window pair); :func:`repro.machine.cache.estimate_stream_misses`
-  must return exactly its count.
+  and, on ``stream.line_ids(line_elems)``,
+  :func:`repro.machine.cache.estimate_x_access_misses` must return
+  exactly its count.
 * :class:`LRUCache` — an exact, tiny, deliberately slow fully-associative
   LRU simulator that sanity-checks the estimators' ordering properties on
   small streams.
 * :func:`simulate_reference` — one simulator cell, recomputing every
-  structure-dependent quantity on each call through the windowed
-  estimator; :func:`repro.machine.executor.simulate_plane` must reproduce
-  it float for float.
+  structure-dependent quantity on each call (it shares only the parts'
+  memoised row-pointer differences) through the windowed estimator;
+  :func:`repro.machine.executor.simulate_plane` must reproduce it float
+  for float.
 * :func:`reference_sweep` — the sweep through ``build_candidate``, the
   per-candidate ``MODELS[...].predict`` and :func:`simulate_reference`,
   assembled into records by the harness's own

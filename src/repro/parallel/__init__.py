@@ -3,7 +3,6 @@
 from .partition import (
     RowPartition,
     balanced_partition,
-    block_ptr_of,
     stored_per_block_row,
 )
 from .threaded import ThreadedSpMV, row_block_slice
@@ -11,7 +10,6 @@ from .threaded import ThreadedSpMV, row_block_slice
 __all__ = [
     "RowPartition",
     "balanced_partition",
-    "block_ptr_of",
     "stored_per_block_row",
     "ThreadedSpMV",
     "row_block_slice",

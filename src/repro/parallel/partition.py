@@ -19,7 +19,10 @@ from ..formats.base import SparseFormat
 __all__ = [
     "RowPartition",
     "balanced_partition",
+    "cumulative_partition",
+    "cumulative_weights",
     "prefix_sums",
+    "row_counts",
     "stored_per_block_row",
 ]
 
@@ -63,13 +66,20 @@ def balanced_partition(weights: np.ndarray, nthreads: int) -> RowPartition:
     scheme): boundary ``t`` is placed where the running weight first reaches
     ``t/nthreads`` of the total.
     """
+    return cumulative_partition(
+        np.cumsum(np.asarray(weights, dtype=np.float64)), nthreads
+    )
+
+
+def cumulative_partition(csum: np.ndarray, nthreads: int) -> RowPartition:
+    """:func:`balanced_partition` read off the running weight ``csum``
+    (``np.cumsum`` of the weights), so one running sum serves every
+    thread count."""
     if nthreads < 1:
         raise ModelError("nthreads must be >= 1")
-    weights = np.asarray(weights, dtype=np.float64)
-    n = weights.shape[0]
+    n = csum.shape[0]
     if nthreads == 1 or n == 0:
         return RowPartition(np.array([0, n], dtype=np.int64))
-    csum = np.cumsum(weights)
     total = csum[-1]
     if total <= 0:
         # Degenerate: split rows evenly.
@@ -82,35 +92,60 @@ def balanced_partition(weights: np.ndarray, nthreads: int) -> RowPartition:
     return RowPartition(bounds)
 
 
+def row_counts(part: SparseFormat, ptr: str) -> np.ndarray:
+    """``np.diff`` of the part's ``ptr`` row-pointer array as float64.
+
+    Memoised on the part and read-only: the row costs of every (impl,
+    precision) and the partition weights all read the same counts.
+    """
+    memo = part.__dict__.setdefault("_row_counts", {})
+    counts = memo.get(ptr)
+    if counts is None:
+        pointer = getattr(part, ptr)
+        counts = np.empty(pointer.shape[0] - 1, dtype=np.float64)
+        # Integer differences below 2^53 convert exactly.
+        np.subtract(pointer[1:], pointer[:-1], out=counts, casting="unsafe")
+        counts.flags.writeable = False
+        memo[ptr] = counts
+    return counts
+
+
+def _weight_pointer(part: SparseFormat) -> tuple[str, int]:
+    """The row pointer that counts a part's stored items per block row,
+    and the stored elements (padding included) of one item."""
+    kind = part.block_descriptor()[0]
+    if kind in ("csr", "vbl"):
+        return "row_ptr", 1
+    if kind == "bcsr":
+        return "brow_ptr", part.block.elems
+    if kind == "bcsd":
+        return "brow_ptr", part.b
+    raise ModelError(f"no partition weights for format kind {kind!r}")
+
+
 def stored_per_block_row(part: SparseFormat) -> np.ndarray:
     """Stored elements (padding included) per block row of a format part.
 
     This is the load-balancing weight the paper uses: true nonzeros plus
-    the padding zeros a padded format computes on.
+    the padding zeros a padded format computes on.  Read-only for CSR and
+    1D-VBL, whose weights are the memoised element counts themselves.
     """
-    kind = part.block_descriptor()[0]
-    if kind == "csr":
-        return np.diff(part.row_ptr).astype(np.float64)
-    if kind == "bcsr":
-        return np.diff(part.brow_ptr).astype(np.float64) * part.block.elems
-    if kind == "bcsd":
-        return np.diff(part.brow_ptr).astype(np.float64) * part.b
-    if kind == "vbl":
-        return np.diff(part.row_ptr).astype(np.float64)
-    raise ModelError(f"no partition weights for format kind {kind!r}")
+    ptr, elems = _weight_pointer(part)
+    counts = row_counts(part, ptr)
+    return counts if elems == 1 else counts * elems
 
 
-def block_ptr_of(part: SparseFormat) -> np.ndarray:
-    """Pointer array mapping block rows to positions in the block stream.
+def cumulative_weights(part: SparseFormat) -> np.ndarray:
+    """``np.cumsum(stored_per_block_row(part))``, read off the row pointer.
 
-    Used to slice a part's x-access stream per thread: thread ``t`` owns
-    stream entries ``ptr[b_t] : ptr[b_{t+1}]``.
+    Every weight and partial sum is an integer below 2^53, so each float64
+    addition of the running sum is exact and the sum up to block row ``i``
+    is the pointer's ``ptr[i + 1] - ptr[0]`` times the elements per item.
     """
-    kind = part.block_descriptor()[0]
-    if kind in ("bcsr", "bcsd"):
-        return part.brow_ptr
-    if kind == "csr":
-        return part.row_ptr
-    if kind == "vbl":
-        return part.block_row_ptr
-    raise ModelError(f"no block pointer for format kind {kind!r}")
+    ptr, elems = _weight_pointer(part)
+    pointer = getattr(part, ptr)
+    csum = np.empty(pointer.shape[0] - 1, dtype=np.float64)
+    np.subtract(pointer[1:], pointer[0], out=csum, casting="unsafe")
+    if elems != 1:
+        csum *= elems
+    return csum

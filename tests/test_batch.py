@@ -217,7 +217,7 @@ class TestMatrixProgramEquivalence:
         def refuse(*args, **kwargs):
             raise AssertionError("selection ran the x-miss estimator")
 
-        monkeypatch.setattr(executor, "estimate_stream_misses", refuse)
+        monkeypatch.setattr(executor, "estimate_x_access_misses", refuse)
         small = dataclasses.replace(
             machine,
             l1=dataclasses.replace(machine.l1, size_bytes=4 * 1024),
@@ -486,10 +486,10 @@ class TestPerPartWork:
         real = KernelCostModel.block_row_cycles
         calls = Counter()
 
-        def counted(self, part, impl, precision):
+        def counted(self, part, impl, precision, **kwargs):
             if part is csr:
                 calls[(Impl.coerce(impl), Precision.coerce(precision))] += 1
-            return real(self, part, impl, precision)
+            return real(self, part, impl, precision, **kwargs)
 
         monkeypatch.setattr(KernelCostModel, "block_row_cycles", counted)
         multi = tuple(c for c in FULL_SPACE if c.kind != "vbl")

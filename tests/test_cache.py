@@ -1,5 +1,6 @@
 """Tests for the x-miss estimator against its oracles (the per-window loop
-and the exact LRU simulator of :mod:`repro.oracle`)."""
+and the exact LRU simulator of :mod:`repro.oracle`), both through explicit
+line-id arrays and through the simulator's access-stream path."""
 
 import tracemalloc
 
@@ -8,8 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine.cache import estimate_stream_misses, x_budget_lines
+from repro.formats.base import XAccessStream
+from repro.machine import cache
+from repro.machine.cache import (
+    MAP_SPAN_WINDOWS,
+    estimate_stream_misses,
+    estimate_x_access_misses,
+    x_budget_lines,
+)
 from repro.oracle import LRUCache, estimate_stream_misses_windowed
+
+MODES = [(c, d) for c in (True, False) for d in (True, False)]
 
 
 class TestBudget:
@@ -197,6 +207,139 @@ class TestVectorizedEquivalence:
         assert estimate_stream_misses(lines, budget) == 0
         lru = LRUCache(budget).run(lines)
         assert lru == distinct  # compulsory misses only
+
+
+@st.composite
+def _access_stream(draw):
+    """An access stream as the formats produce them, a line size and a
+    budget.
+
+    Fixed widths 1-8 start down to column -8 (BCSD edge diagonals) and
+    1D-VBL runs have variable widths; budgets are drawn independently of
+    the width, so accesses straddle windows.  Column spans reach far
+    beyond 8x the budget and 8x the stream, so both count branches and
+    the explicit-id path's dense ranking run, and short streams fit a
+    single window.
+    """
+    n_access = draw(st.integers(min_value=1, max_value=400))
+    variable = draw(st.booleans())
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    span = draw(st.sampled_from((4, 40, 400, 4_000, 200_000)))
+    style = draw(st.sampled_from(("random", "sorted", "banded")))
+    if style == "random":
+        starts = rng.integers(-8, span, n_access)
+    elif style == "sorted":
+        starts = np.sort(rng.integers(-8, span, n_access))
+    else:
+        band = draw(st.integers(min_value=1, max_value=64))
+        starts = (np.arange(n_access) * span // n_access - 8
+                  + rng.integers(0, band, n_access))
+    if variable:
+        widths = rng.integers(1, 13, n_access)
+        stream = XAccessStream(np.maximum(starts, 0), 1, widths)
+    else:
+        stream = XAccessStream(starts, draw(st.integers(1, 8)))
+    line_elems = draw(st.sampled_from((1, 3, 8, 16)))
+    budget = draw(st.one_of(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=3_000),
+    ))
+    return stream, line_elems, budget
+
+
+class TestStreamPath:
+    """The simulator's path, window by window from the access stream, is
+    the windowed loop over ``stream.line_ids(line_elems)``."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_access_stream())
+    def test_matches_windowed_loop(self, sbl):
+        stream, line_elems, budget = sbl
+        lines = stream.line_ids(line_elems)
+        for cyclic, discount in MODES:
+            want = estimate_stream_misses_windowed(
+                lines, budget, cyclic=cyclic, discount_compulsory=discount
+            )
+            assert estimate_x_access_misses(
+                stream, line_elems, budget,
+                cyclic=cyclic, discount_compulsory=discount,
+            ) == want, (cyclic, discount)
+            assert estimate_stream_misses(
+                lines, budget, cyclic=cyclic, discount_compulsory=discount
+            ) == want, (cyclic, discount)
+
+    def test_every_count_branch_runs(self, monkeypatch):
+        """Presence maps, stamps and the dense ranking each count at least
+        one of these streams, and every count equals the spec."""
+        rng = np.random.default_rng(4)
+        budget = 16
+        streams = [
+            # span within MAP_SPAN_WINDOWS windows: presence maps
+            XAccessStream(rng.integers(-8, 6 * budget, 600), 3),
+            # span beyond it: stamps
+            XAccessStream(
+                rng.integers(0, 100 * MAP_SPAN_WINDOWS * budget, 600), 2
+            ),
+            # 1D-VBL runs
+            XAccessStream(
+                rng.integers(0, 60 * budget, 300), 1, rng.integers(1, 9, 300)
+            ),
+        ]
+        # Ids spread beyond 8x the stream: dense-ranked, then counted.
+        sparse = rng.integers(0, 2**40, 500)
+        want = [
+            estimate_stream_misses_windowed(s.line_ids(1), budget)
+            for s in streams
+        ] + [estimate_stream_misses_windowed(sparse, budget)]
+
+        used, spans = [], []
+        for name in ("_count_by_maps", "_count_by_stamps"):
+            real = getattr(cache, name)
+
+            def spy(*args, _real=real, _name=name):
+                used.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(cache, name, spy)
+        real_windowed = cache._windowed_misses
+
+        def windowed(window_ids, n, span, window, **kwargs):
+            spans.append(span)
+            return real_windowed(window_ids, n, span, window, **kwargs)
+
+        monkeypatch.setattr(cache, "_windowed_misses", windowed)
+        got = [estimate_x_access_misses(s, 1, budget) for s in streams]
+        got.append(estimate_stream_misses(sparse, budget))
+        assert got == want
+        assert {"_count_by_maps", "_count_by_stamps"} <= set(used)
+        # The sparse ids reached the loop as ranks, not as 2^40 offsets.
+        assert spans[-1] <= sparse.shape[0]
+
+    def test_rejects_bad_line_size(self):
+        with pytest.raises(ValueError):
+            estimate_x_access_misses(XAccessStream(np.arange(4), 1), 0, 8)
+
+    def test_peak_memory_stays_below_one_stream_array(self):
+        """A production-shaped stream (2^22 elements of width-4 accesses,
+        dp lines, the paper machine's 32768-line budget): the estimate
+        must not allocate even one int64 array as long as the element
+        stream."""
+        n_access = 2**20
+        starts = np.sort(
+            np.random.default_rng(6).integers(-4, 2**21, n_access)
+        )
+        stream = XAccessStream(starts, 4)
+        n = stream.n_elements
+        assert n >= 2**22
+        tracemalloc.start()
+        try:
+            misses = estimate_x_access_misses(stream, 8, 32768)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n
+        assert misses == estimate_stream_misses(stream.line_ids(8), 32768)
 
 
 class TestLRUOracle:

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ModelError
 from repro.formats import build_format
-from repro.parallel import (
-    balanced_partition,
-    block_ptr_of,
-    stored_per_block_row,
-)
+from repro.parallel import balanced_partition, stored_per_block_row
+from repro.parallel.partition import cumulative_weights, row_counts
 
 from .conftest import make_random_coo
 
@@ -111,9 +108,20 @@ class TestFormatWeights:
     @pytest.mark.parametrize("kind,block", [
         ("csr", None), ("bcsr", (2, 3)), ("bcsd", 4), ("vbl", None),
     ])
-    def test_block_ptr_brackets_stream(self, kind, block):
+    def test_cumulative_weights_are_the_running_weight(self, kind, block):
         coo = make_random_coo(36, 36, 200, seed=63, with_values=False)
         fmt = build_format(coo, kind, block, with_values=False)
-        ptr = block_ptr_of(fmt)
-        assert ptr[0] == 0
-        assert ptr[-1] == len(fmt.x_access_stream())
+        got = cumulative_weights(fmt)
+        assert got.dtype == np.float64
+        assert got.tolist() == np.cumsum(stored_per_block_row(fmt)).tolist()
+
+    def test_row_counts_are_memoised_read_only_diffs(self):
+        coo = make_random_coo(36, 36, 200, seed=63, with_values=False)
+        fmt = build_format(coo, "vbl", None, with_values=False)
+        counts = row_counts(fmt, "block_row_ptr")
+        assert counts.dtype == np.float64
+        assert counts.tolist() == np.diff(fmt.block_row_ptr).tolist()
+        assert row_counts(fmt, "block_row_ptr") is counts
+        assert not counts.flags.writeable
+        # CSR and 1D-VBL weigh rows by the memoised element counts.
+        assert stored_per_block_row(fmt) is row_counts(fmt, "row_ptr")

@@ -22,7 +22,7 @@ from repro.core.profiling import (
     profile_to_payload,
 )
 from repro.formats.coo import COOMatrix
-from repro.machine import get_preset
+from repro.machine import KernelCostModel, get_preset
 from repro.machine.executor import simulate
 from repro.matrices.suite import get_entry
 from repro.oracle import reference_sweep, simulate_reference
@@ -99,24 +99,26 @@ class TestPlanBitIdentity:
 
 class TestPlanReuse:
     def test_cells_share_memoised_partitions(self, machine, monkeypatch):
-        """Weights and partitions are built once per (part, nthreads) and
-        shared by every precision; row-cost prefix sums once per
-        (precision, part, impl) and indexed by every thread count."""
+        """Weights and their running sum are built once per part and
+        partitions once per (part, nthreads), shared by every precision;
+        row-cost prefix sums once per (precision, part, impl) and indexed
+        by every thread count."""
         import repro.machine.executor as executor
 
         calls = Counter()
 
-        def counted(name):
-            fn = getattr(executor, name)
+        def counted(owner, name):
+            fn = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
 
-            monkeypatch.setattr(executor, name, wrapper)
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("stored_per_block_row", "balanced_partition", "prefix_sums"):
-            counted(name)
+        for name in ("cumulative_weights", "cumulative_partition"):
+            counted(executor, name)
+        counted(KernelCostModel, "block_row_cycles")
         coo = make_random_coo(60, 60, 1500, seed=7, with_values=False)
         fmt = _build(coo, "bcsr_dec", (2, 2))
         parts = fmt.submatrices()
@@ -128,21 +130,23 @@ class TestPlanReuse:
             for impl in (Impl.SCALAR, Impl.SIMD)
             for nthreads in threads
         ]
-        for precision, impl, nthreads in cells:
-            got = simulate(fmt, machine, precision, impl, nthreads)
-            assert got == simulate_reference(
-                fmt, machine, precision, impl, nthreads
-            )
-        assert calls["stored_per_block_row"] == len(parts)
-        assert calls["balanced_partition"] == len(parts) * len(threads)
+        got = {cell: simulate(fmt, machine, *cell) for cell in cells}
+        assert calls["cumulative_weights"] == len(parts)
+        assert calls["cumulative_partition"] == len(parts) * len(threads)
         impls_per_part = [
             len({machine.costs.effective_impl(p, i) for i in Impl})
             for p in parts
         ]
-        assert calls["prefix_sums"] == 2 * sum(impls_per_part)  # sp + dp
+        assert calls["block_row_cycles"] == 2 * sum(impls_per_part)  # sp + dp
         # The memos live on the structure's parts.
         for part in parts:
             assert sorted(part.__dict__["_row_partitions"]) == list(threads)
+            assert list(part.__dict__["_row_counts"]) == [
+                "brow_ptr" if part.kind == "bcsr" else "row_ptr"
+            ]
+        # The reference recomputes per cell (outside the counts above).
+        for cell in cells:
+            assert got[cell] == simulate_reference(fmt, machine, *cell)
 
 
 class TestProfilePersistence:
