@@ -29,6 +29,14 @@ x-resident or inside the budget), so the full run adds two sections:
   ``stream.line_ids(...)``, on every out-of-budget dp stream of fdiff
   (suite #23) under the paper config; both timings include the line-id
   expansion, and the counts are asserted equal stream by stream;
+* **row_costs** — the simulator's row-cost boundary pass,
+  ``executor.row_cost_prefix_at`` at the union of the 1-, 2- and
+  4-thread partition boundaries, against the whole-part prefix
+  ``prefix_sums(block_row_cycles(...))`` read at the same rows, over
+  every planned part of fdiff (suite #23) in sp and dp and each impl its
+  kernel runs.  The whole-part prefixes are held until the round ends,
+  as the simulator's per-part memo held them before the boundary pass;
+  the values are asserted equal part by part;
 * **calibration** — ``profile_machine`` for sp and dp building its
   profiling structures through the per-shape converters against the
   fused ``plan_structures`` pass, profiles asserted identical.
@@ -41,9 +49,9 @@ Usage::
 The full run asserts the acceptance bar (batched >= 7.5x over the
 reference) and the golden canonical sha; ``--smoke`` asserts its own
 pinned sha through the batched path plus that batching beats the
-reference at all, then runs the x_miss leg once and fails on any count
-mismatch or if the estimator is not faster than the windowed spec; it is
-sized for a CI minute.
+reference at all, then runs the x_miss and row_costs legs once and fails
+on any count or value mismatch, or if the estimator or the boundary pass
+is not faster than its spec; it is sized for a CI minute.
 """
 
 from __future__ import annotations
@@ -62,8 +70,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FULL_INDICES = (1, 27, 30)
 SMOKE_INDICES = (1,)
-#: The suite matrix whose out-of-budget streams the x_miss section times.
+#: The suite matrix whose out-of-budget streams the x_miss section times,
+#: and whose planned parts the row_costs section times.
 XMISS_INDEX = 23
+#: Thread counts whose partition boundaries the row_costs section reads.
+ROW_COST_THREADS = (1, 2, 4)
 #: Acceptance bar: batched over the reference.
 SPEEDUP_BAR = 7.5
 #: Golden canonical_json sha prefixes (see also tests/test_plan.py).
@@ -224,6 +235,81 @@ def bench_x_miss(machine, rounds: int) -> dict:
     }
 
 
+def bench_row_costs(machine, rounds: int) -> dict:
+    """The boundary pass against the whole-part prefix it reads, on every
+    planned part of fdiff, sp and dp, each impl its kernel runs."""
+    import numpy as np
+
+    from repro.core.candidates import candidate_space, unique_structures
+    from repro.machine.batch import plan_structures
+    from repro.machine.executor import row_cost_prefix_at
+    from repro.matrices.suite import get_entry
+    from repro.parallel.partition import (
+        pointer_partition,
+        prefix_sums,
+        weight_pointer,
+    )
+    from repro.types import Impl, Precision
+
+    costs = machine.costs
+    structures = plan_structures(
+        get_entry(XMISS_INDEX).build(),
+        unique_structures(candidate_space(max_block_elems=8)),
+    )
+    parts = list({
+        id(part): part
+        for fmt in structures.values()
+        for part in fmt.submatrices()
+    }.values())
+    passes = []
+    for part in parts:
+        ptr, elems = weight_pointer(part)
+        positions = np.unique(np.concatenate([
+            pointer_partition(ptr, elems, t).boundaries
+            for t in ROW_COST_THREADS
+        ]))
+        for precision in (Precision.SP, Precision.DP):
+            for impl in sorted(
+                {costs.effective_impl(part, i) for i in Impl},
+                key=lambda i: i.value,
+            ):
+                passes.append((part, impl, precision, positions))
+
+    fast, t_fast = _best_of(
+        rounds,
+        lambda: [
+            row_cost_prefix_at(part, costs, impl, precision, positions)
+            for part, impl, precision, positions in passes
+        ],
+    )
+    def whole_prefixes():
+        # Held until every pass is done, as the per-part memo held them
+        # before the boundary pass replaced it.
+        prefixes = [
+            prefix_sums(costs.block_row_cycles(part, impl, precision))
+            for part, impl, precision, _ in passes
+        ]
+        return [
+            prefix[positions]
+            for prefix, (*_, positions) in zip(prefixes, passes)
+        ]
+
+    spec, t_spec = _best_of(rounds, whole_prefixes)
+    if not all(np.array_equal(a, b) for a, b in zip(fast, spec)):
+        raise SystemExit("FATAL: boundary pass disagrees with the prefix")
+    return {
+        "matrix_idx": XMISS_INDEX,
+        "precisions": ["sp", "dp"],
+        "threads": list(ROW_COST_THREADS),
+        "parts": len(parts),
+        "passes": len(passes),
+        "block_rows": int(sum(p.n_block_rows for p, *_ in passes)),
+        "prefix_s": round(t_spec, 3),
+        "boundary_s": round(t_fast, 3),
+        "speedup": round(t_spec / t_fast, 3),
+    }
+
+
 def bench_calibration(machine, rounds: int) -> dict:
     """``profile_machine`` sp + dp: per-shape converters vs fused planner."""
     from repro.core.profiling import profile_machine
@@ -305,7 +391,10 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="one tiny matrix and one x_miss round, no JSON output (CI signal)",
+        help=(
+            "one tiny matrix and one x_miss and row_costs round, no JSON "
+            "output (CI signal)"
+        ),
     )
     parser.add_argument(
         "--rounds", type=int, default=2,
@@ -357,11 +446,23 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 1
+        row_costs = bench_row_costs(machine, rounds)
+        print(
+            f"row_costs: {row_costs['speedup']:.2f}x {json.dumps(row_costs)}"
+        )
+        if row_costs["speedup"] <= 1.0:
+            print(
+                "FAIL: the boundary pass is not faster than the whole-part "
+                "prefix",
+                file=sys.stderr,
+            )
+            return 1
         return 0
 
     payload["x_miss"] = bench_x_miss(machine, rounds)
+    payload["row_costs"] = bench_row_costs(machine, rounds)
     payload["calibration"] = bench_calibration(machine, rounds)
-    for name in ("x_miss", "calibration"):
+    for name in ("x_miss", "row_costs", "calibration"):
         section = payload[name]
         print(f"{name}: {section['speedup']:.2f}x {json.dumps(section)}")
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")

@@ -43,7 +43,7 @@ from ..ioutils import (
     remove_stale_tmp_files,
     write_envelope,
 )
-from ..machine.executor import simulate
+from ..machine.executor import simulate, x_misses
 from ..machine.machine import MachineModel
 from ..types import DEFAULT_MAX_BLOCK_ELEMS, Impl, Precision
 from .candidates import diag_sizes, rect_shapes
@@ -228,7 +228,7 @@ def _calibrate_latency(
     the effect, subtract what the calibrated model already explains, and
     normalise by the structural estimate of the effect's magnitude.
     """
-    from ..machine.cache import estimate_x_access_misses, x_budget_lines
+    from ..machine.cache import x_budget_lines
 
     rng = np.random.default_rng(20090701)
     line_elems = machine.l2.line_bytes // precision.itemsize
@@ -246,7 +246,8 @@ def _calibrate_latency(
     predicted = csr.working_set(precision) / machine.memory_bandwidth(1) + (
         profile.nof[key] * csr.n_blocks * profile.t_b[key]
     )
-    misses = estimate_x_access_misses(csr.x_access_stream(), line_elems, budget)
+    # The simulation above estimated (and memoised) the same count.
+    misses = x_misses(csr, machine, precision)
     if misses <= 0:
         raise ProfileError(
             "latency calibration matrix produced no estimated misses; "

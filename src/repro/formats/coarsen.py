@@ -5,7 +5,11 @@ number of nonzeros in block ``(I, J)`` is entry ``(I, J)`` of the sparse
 product ``R_r @ A @ C_c``, where the row aggregation ``R_r`` sums each
 group of ``r`` rows and the column grouping ``C_c`` each group of ``c``
 columns: one C-level matmat per blocking instead of a sort over the
-nonzeros.  A diagonal (BCSD) blocking coarsens the *shifted* pattern,
+nonzeros.  A one-row blocking needs no product at all: ``A`` is sorted by
+(row, col), so relabelling its columns to ``col // c`` leaves each row's
+labels non-decreasing, and merging equal neighbours in one pass
+(:func:`merge_columns`) gives ``A @ C_c`` with its indices already
+sorted.  A diagonal (BCSD) blocking coarsens the *shifted* pattern,
 which puts each nonzero at column ``col - row + nrows - 1``: within a
 row segment a block is one diagonal, so ``R_b @ shifted`` counts the
 nonzeros of every (segment, diagonal) block.
@@ -35,6 +39,7 @@ __all__ = [
     "shifted_pattern",
     "row_aggregation",
     "column_groups",
+    "merge_columns",
     "coarsen_rows",
 ]
 
@@ -125,6 +130,31 @@ def column_groups(ncols: int, c: int) -> sparse.csr_matrix:
         ),
         shape=(ncols, -(-ncols // c)), copy=False,
     )
+
+
+def merge_columns(mat: sparse.csr_matrix, c: int) -> sparse.csr_matrix:
+    """``mat @ column_groups(ncols, c)`` for a canonical ``mat`` (indices
+    sorted within rows, no duplicates), with its indices sorted.
+
+    Relabelling column ``j`` to ``j // c`` keeps each row sorted, so every
+    run of equal neighbours is one group: ``sum_duplicates`` merges the
+    runs in one pass, adding their entries, and need not sort first.  It
+    works in place, so ``data`` and ``indptr`` are copies; sharing
+    ``mat``'s arrays would corrupt ``mat``.  It leaves the merged entries
+    at the front of the relabelled arrays (a view unless they shrank
+    below half), so those are copied out, as right-sized as a product's.
+    """
+    out = sparse.csr_matrix(
+        (mat.data.copy(), mat.indices // c, mat.indptr.copy()),
+        shape=(mat.shape[0], -(-mat.shape[1] // c)), copy=False,
+    )
+    out.has_sorted_indices = True
+    out.sum_duplicates()
+    if out.indices.base is not None:
+        out.indices = out.indices.copy()
+    if out.data.base is not None:
+        out.data = out.data.copy()
+    return out
 
 
 def coarsen_rows(

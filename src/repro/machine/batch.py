@@ -24,12 +24,13 @@ the count of nonzeros per block is the single C-level sparse product
 ``C_c`` are the row/column aggregation maps; diagonal blockings coarsen a
 column-shifted pattern (``d = col - row``) the same way, and ``R_r @ A``
 is shared across widths of one height; a composite height is built by
-grouping the coarse rows of a height that divides it.  The maps and the
-guard live in :mod:`repro.formats.coarsen`, shared with the advisor's
-feature probes.  Index values (block columns,
-diagonal starts, decomposition-remainder columns) are materialized
-*lazily* on first access, reproducing the per-call converters' arrays
-bit-for-bit.  The decomposed variants' CSR remainders are derived
+grouping the coarse rows of a height that divides it.  A one-row
+blocking merges the sorted pattern's ``col // c`` runs instead of a
+product.  The maps, the merge and the guard live in
+:mod:`repro.formats.coarsen`, shared with the advisor's feature probes.
+Index values (block columns, diagonal starts, decomposition-remainder
+columns) are materialized *lazily* on first access, reproducing the
+per-call converters' arrays bit-for-bit.  The decomposed variants' CSR remainders are derived
 arithmetically (``nnz_per_row - c * full_blocks_per_block_row``).  The
 outputs are ordinary format objects (lazily-materializing subclasses),
 **bit-identical** (array-for-array) to what ``build_candidate`` constructs
@@ -69,6 +70,7 @@ from ..formats.bcsr import BCSRMatrix
 from ..formats.coarsen import (
     coarsen_rows,
     column_groups,
+    merge_columns,
     pattern_csr,
     shifted_pattern,
     worth_coarsening,
@@ -104,11 +106,13 @@ class _Coarse:
 
     ``mat[I, J]`` is the number of matrix nonzeros falling in block
     ``(I, J)`` — a CSR over block coordinates produced by one sparse
-    matmat.  Its indices are unsorted within rows until :meth:`sorted`
-    is first needed; the in-place sort reorders the counts alongside, so
-    eager consumers (cardinalities, full-block counts per row) read the
-    matmul order and lazy ones the converters' sorted order.  Both
-    orders agree on everything row-granular.
+    matmat, or for a one-row blocking by one merge of the sorted
+    pattern.  A product's indices are unsorted within rows until
+    :meth:`sorted` is first needed; the in-place sort reorders the counts
+    alongside, so eager consumers (cardinalities, full-block counts per
+    row) read the matmul order and lazy ones the converters' sorted
+    order.  Both orders agree on everything row-granular.  A merge's
+    indices are sorted already, so :meth:`sorted` has nothing to do.
     """
 
     __slots__ = ("mat", "_sorted")
@@ -368,17 +372,23 @@ def plan_structures(
     diag_sizes = {b for k, b in structures if k in ("bcsd", "bcsd_dec")}
 
     # ---- coarsen: one sparse matmat per blocking, R_r @ A shared ---------- #
+    # One-row blockings merge the sorted pattern's column runs instead.
     coarse: dict[tuple, _Coarse] = {}
     if rect_shapes:
         by_height = coarsen_rows(
             pattern_csr(coo, row_ptr), {r for r, _ in rect_shapes}
         )
         group = {
-            c: column_groups(ncols, c) for c in {c for _, c in rect_shapes}
-            if c > 1
+            c: column_groups(ncols, c)
+            for c in {c for r, c in rect_shapes if r > 1 and c > 1}
         }
         for r, c in sorted(rect_shapes):
-            mat = by_height[r] @ group[c] if c > 1 else by_height[r]
+            if c == 1:
+                mat = by_height[r]
+            elif r == 1:
+                mat = merge_columns(by_height[1], c)
+            else:
+                mat = by_height[r] @ group[c]
             coarse[("rect", (r, c))] = _Coarse(mat)
     if diag_sizes:
         # Block (segment s, diagonal d) <-> entry (s, d + nrows - 1).
@@ -390,8 +400,8 @@ def plan_structures(
 
     # ---- assemble the format objects -------------------------------------- #
     # One object for the plain CSR structure and every decomposition without
-    # a full block, so the part-level memos (partitions, row-cost prefixes,
-    # x-miss counts) are computed once per matrix.
+    # a full block, so the part-level memos (partitions, row-cost boundary
+    # values, x-miss counts) are computed once per matrix.
     whole_csr = CSRMatrix(nrows, ncols, row_ptr, cols, None)
     for kind, block in structures:
         if kind == "csr":
@@ -492,9 +502,9 @@ class MatrixProgram:
     candidate structure, and :meth:`evaluate` batch-evaluates one
     (precision, threads) plane of cells — the candidate loop is an array
     axis.  :meth:`predict` is the models-only plane the advisor ranks; it
-    runs no simulator.  The simulator's per-part memos (row-cost prefixes,
-    partitions, x-miss counts) live on the structures' parts, so they die
-    with the program.
+    runs no simulator.  The simulator's per-part memos (row-cost boundary
+    values, partitions, x-miss counts) live on the structures' parts, so
+    they die with the program.
     """
 
     def __init__(

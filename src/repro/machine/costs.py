@@ -30,7 +30,6 @@ import numpy as np
 
 from ..errors import ModelError
 from ..formats.base import SparseFormat
-from ..parallel.partition import row_counts
 from ..types import Impl, Precision
 
 __all__ = ["KernelCostModel"]
@@ -127,45 +126,57 @@ class KernelCostModel:
         impl: Impl | str,
         precision: Precision | str,
         *,
+        start: int = 0,
+        stop: int | None = None,
         out: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Compute cycles of each block row of a *non-decomposed* part.
+        """Compute cycles of block rows ``start:stop`` of a *non-decomposed*
+        part (all of them by default).
 
-        Returns an array of length ``part.n_block_rows`` (written into
-        ``out`` when given); its sum is the part's total compute cost.
-        Used both for whole-matrix simulation and for load-balanced
+        Returns an array of length ``stop - start`` (written into ``out``
+        when given); over all rows its sum is the part's total compute
+        cost.  Used both for whole-matrix simulation and for load-balanced
         multicore partitioning.  Each row is its block (or element) count
         times the per-block cost, plus the row overhead; the counts are
-        the part's memoised pointer differences.
+        read off the part's row pointers.
         """
         impl = Impl.coerce(impl)
         precision = Precision.coerce(precision)
         kind = part.block_descriptor()[0]
+        if stop is None:
+            stop = part.n_block_rows
         if out is None:
-            out = np.empty(part.n_block_rows, dtype=np.float64)
+            out = np.empty(stop - start, dtype=np.float64)
+
+        def counts(ptr: np.ndarray, into: np.ndarray) -> np.ndarray:
+            # Integer differences below 2^53 convert exactly.
+            return np.subtract(
+                ptr[start + 1 : stop + 1], ptr[start:stop], out=into,
+                casting="unsafe",
+            )
+
         if kind == "csr":
             if impl is not Impl.SCALAR:
                 raise ModelError("CSR has no SIMD kernel in this study")
-            per = self.csr_elem_cycles[precision.value]
-            np.multiply(row_counts(part, "row_ptr"), per, out=out)
+            counts(part.row_ptr, out)
+            out *= self.csr_elem_cycles[precision.value]
         elif kind == "bcsr":
             r, c = part.block
-            per = self.rect_block_cycles(r, c, impl, precision)
-            np.multiply(row_counts(part, "brow_ptr"), per, out=out)
+            counts(part.brow_ptr, out)
+            out *= self.rect_block_cycles(r, c, impl, precision)
         elif kind == "bcsd":
-            per = self.diag_block_cycles(part.b, impl, precision)
-            np.multiply(row_counts(part, "brow_ptr"), per, out=out)
+            counts(part.brow_ptr, out)
+            out *= self.diag_block_cycles(part.b, impl, precision)
         elif kind == "vbl":
             if impl is not Impl.SCALAR:
                 raise ModelError("1D-VBL has no SIMD kernel in this study")
             # Per element, 1D-VBL pays CSR-like indirect-access cost (the
             # value stream is walked through a second level of indexing).
-            elem = self.csr_elem_cycles[precision.value]
-            np.multiply(
-                row_counts(part, "block_row_ptr"), self.vbl_block_overhead,
-                out=out,
-            )
-            out += row_counts(part, "row_ptr") * elem
+            counts(part.block_row_ptr, out)
+            out *= self.vbl_block_overhead
+            elems = counts(part.row_ptr, np.empty_like(out))
+            elems *= self.csr_elem_cycles[precision.value]
+            out += elems
         else:
             raise ModelError(f"no cost model for format kind {kind!r}")
         out += self.row_overhead_cycles

@@ -37,13 +37,18 @@ so every cell and every structure holding it (the fused planner shares one
 whole-pattern CSR between plain CSR and each decomposition without a full
 block) computes them once:
 
-* the per-block-row counts (``np.diff`` of its row pointers, as float64;
-  :func:`repro.parallel.partition.row_counts`), which every row cost
-  reads;
-* the row-cost prefix sums, per (machine, impl, precision), indexed by
-  every thread count;
-* the running partition weight, read off its block-row pointer, and from
-  it the balanced row partition per thread count;
+* the balanced row partition per thread count, found by an integer
+  search on the part's block-row pointer
+  (:func:`repro.parallel.partition.pointer_partition`), with no float
+  array of the rows;
+* the row-cost prefix sums, per (machine, impl, precision), *only* at the
+  union of the partition boundaries for 1..``max_threads`` threads (at
+  most 8 positions on the core2 preset).  One pass walks the rows in
+  chunks of :data:`COST_CHUNK_ROWS` through a reused scratch buffer,
+  carrying the running sum from chunk to chunk, so it adds the same
+  floats in the same order as a whole-part prefix
+  (:func:`row_cost_prefix_at`); each thread count's per-thread cycles
+  are differences of adjacent values;
 * the x-miss estimate, per (line size, budget).  The estimator
   (:func:`repro.machine.cache.estimate_x_access_misses`) expands the
   part's access stream one window at a time and returns 0 at once when
@@ -68,16 +73,22 @@ from ..errors import ModelError
 from ..formats.base import SparseFormat
 from ..parallel.partition import (
     RowPartition,
-    cumulative_partition,
-    cumulative_weights,
+    pointer_partition,
+    weight_pointer,
 )
 from ..types import Impl, Precision
 from .cache import estimate_x_access_misses, x_budget_lines
+from .costs import KernelCostModel
 from .machine import MachineModel
 
 __all__ = [
-    "SimResult", "simulate", "simulate_cells", "simulate_plane", "x_misses",
+    "SimResult", "row_cost_prefix_at", "simulate", "simulate_cells",
+    "simulate_plane", "x_misses",
 ]
+
+#: Block rows per chunk of the row-cost pass: a chunk's row cycles and
+#: running sum stay cache-resident in one reused scratch buffer.
+COST_CHUNK_ROWS = 16384
 
 
 @dataclass(frozen=True)
@@ -154,25 +165,40 @@ def _part_misses(part: SparseFormat, line_elems: int, budget: int) -> int:
     return misses
 
 
-def _cost_prefix(
-    part: SparseFormat, machine: MachineModel, impl: Impl, precision: Precision
+def row_cost_prefix_at(
+    part: SparseFormat,
+    costs: KernelCostModel,
+    impl: Impl,
+    precision: Precision,
+    positions: np.ndarray,
 ) -> np.ndarray:
-    """Prefix sums of the part's per-block-row cycles (memoised on it).
+    """``prefix_sums(costs.block_row_cycles(part, impl, precision))`` read
+    at the sorted row ``positions`` (each in ``0..n_block_rows``), in one
+    pass of :data:`COST_CHUNK_ROWS`-row chunks and no per-row array.
 
-    Built in one ``n + 1`` array: the row cycles are written after its
-    leading 0 and summed in place.  The machine is keyed by identity; its
-    entry keeps it alive, so the id cannot be reused.
+    Each chunk writes the running sum so far (the carry) into slot 0 of a
+    scratch buffer and its row cycles after it, then sums the buffer in
+    place.  ``np.cumsum`` adds sequentially, so every slot holds the
+    same float as the whole-part prefix at its row.
     """
-    memo = part.__dict__.setdefault("_cost_prefixes", {})
-    key = (id(machine), impl, precision)
-    if key not in memo:
-        prefix = np.empty(part.n_block_rows + 1, dtype=np.float64)
-        prefix[0] = 0.0
-        cycles = prefix[1:]
-        machine.costs.block_row_cycles(part, impl, precision, out=cycles)
-        np.cumsum(cycles, out=cycles)
-        memo[key] = (machine, prefix)
-    return memo[key][1]
+    n = part.n_block_rows
+    pos = positions.tolist()
+    values = np.zeros(len(pos), dtype=np.float64)
+    scratch = np.empty(min(n, COST_CHUNK_ROWS) + 1, dtype=np.float64)
+    scratch[0] = 0.0
+    k = 0
+    for lo in range(0, n, COST_CHUNK_ROWS):
+        hi = min(lo + COST_CHUNK_ROWS, n)
+        buf = scratch[: hi - lo + 1]
+        costs.block_row_cycles(
+            part, impl, precision, start=lo, stop=hi, out=buf[1:]
+        )
+        np.cumsum(buf, out=buf)
+        while k < len(pos) and pos[k] <= hi:
+            values[k] = buf[pos[k] - lo]
+            k += 1
+        scratch[0] = buf[-1]
+    return values
 
 
 def _partition(part: SparseFormat, nthreads: int) -> RowPartition:
@@ -180,18 +206,51 @@ def _partition(part: SparseFormat, nthreads: int) -> RowPartition:
 
     Partitions depend on the structure alone, so every cell of the part —
     any precision, any machine, any impl — shares one per thread count,
-    and every thread count reads one running weight sum.
+    each found by an integer search on the part's weight pointer.
     """
     memo = part.__dict__.setdefault("_row_partitions", {})
     partition = memo.get(nthreads)
     if partition is None:
-        csum = part.__dict__.get("_cumulative_weights")
-        if csum is None:
-            csum = cumulative_weights(part)
-            part.__dict__["_cumulative_weights"] = csum
-        partition = cumulative_partition(csum, nthreads)
+        ptr, elems = weight_pointer(part)
+        partition = pointer_partition(ptr, elems, nthreads)
         memo[nthreads] = partition
     return partition
+
+
+def _boundary_costs(
+    part: SparseFormat, machine: MachineModel, impl: Impl, precision: Precision
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, row-cost prefix values there), memoised on the part.
+
+    The positions are every partition boundary for 1..``max_threads``
+    threads, ``0`` and ``n_block_rows`` among them, so one pass serves
+    every thread count.  The machine is keyed by identity; its entry
+    keeps it alive, so the id cannot be reused.
+    """
+    memo = part.__dict__.setdefault("_boundary_costs", {})
+    key = (id(machine), impl, precision)
+    if key not in memo:
+        positions = np.unique(np.concatenate([
+            _partition(part, t).boundaries
+            for t in range(1, machine.max_threads + 1)
+        ]))
+        values = row_cost_prefix_at(
+            part, machine.costs, impl, precision, positions
+        )
+        memo[key] = (machine, positions, values)
+    return memo[key][1:]
+
+
+def _thread_cycles(
+    part: SparseFormat, machine: MachineModel, impl: Impl,
+    precision: Precision, nthreads: int,
+) -> np.ndarray:
+    """Compute cycles of each thread's rows: differences of the prefix at
+    adjacent boundaries, as ``RowPartition.segment_sums`` takes them."""
+    positions, values = _boundary_costs(part, machine, impl, precision)
+    bounds = _partition(part, nthreads).boundaries
+    at = values[np.searchsorted(positions, bounds)]
+    return at[1:] - at[:-1]
 
 
 def _x_miss_term(
@@ -308,9 +367,7 @@ def simulate_cells(
             sel.append(j)
             etas.append(machine.eta(part_impl))
             per_thread.append(
-                _partition(part, nthreads).prefix_segment_sums(
-                    _cost_prefix(part, machine, part_impl, precision)
-                )
+                _thread_cycles(part, machine, part_impl, precision, nthreads)
             )
         idx = np.array(sel, dtype=np.int64)
         eta = np.array(etas, dtype=np.float64)[:, None]

@@ -14,10 +14,11 @@ paths to these slower, unfactored ones bit for bit:
   LRU simulator that sanity-checks the estimators' ordering properties on
   small streams.
 * :func:`simulate_reference` — one simulator cell, recomputing every
-  structure-dependent quantity on each call (it shares only the parts'
-  memoised row-pointer differences) through the windowed estimator;
-  :func:`repro.machine.executor.simulate_plane` must reproduce it float
-  for float.
+  structure-dependent quantity on each call (whole-part row cycles, a
+  float running weight and a whole-part prefix per part) through the
+  windowed estimator; :func:`repro.machine.executor.simulate_plane`,
+  which searches the row pointer and sums row costs only up to the
+  thread boundaries, must reproduce it float for float.
 * :func:`reference_sweep` — the sweep through ``build_candidate``, the
   per-candidate ``MODELS[...].predict`` and :func:`simulate_reference`,
   assembled into records by the harness's own

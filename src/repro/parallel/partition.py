@@ -20,10 +20,10 @@ __all__ = [
     "RowPartition",
     "balanced_partition",
     "cumulative_partition",
-    "cumulative_weights",
+    "pointer_partition",
     "prefix_sums",
-    "row_counts",
     "stored_per_block_row",
+    "weight_pointer",
 ]
 
 
@@ -52,10 +52,7 @@ class RowPartition:
 
     def segment_sums(self, per_row: np.ndarray) -> np.ndarray:
         """Sum a per-block-row quantity over each thread's rows."""
-        return self.prefix_segment_sums(prefix_sums(per_row))
-
-    def prefix_segment_sums(self, prefix: np.ndarray) -> np.ndarray:
-        """:meth:`segment_sums` read off a precomputed :func:`prefix_sums`."""
+        prefix = prefix_sums(per_row)
         return prefix[self.boundaries[1:]] - prefix[self.boundaries[:-1]]
 
 
@@ -92,34 +89,51 @@ def cumulative_partition(csum: np.ndarray, nthreads: int) -> RowPartition:
     return RowPartition(bounds)
 
 
-def row_counts(part: SparseFormat, ptr: str) -> np.ndarray:
-    """``np.diff`` of the part's ``ptr`` row-pointer array as float64.
+def pointer_partition(
+    ptr: np.ndarray, elems: int, nthreads: int
+) -> RowPartition:
+    """:func:`cumulative_partition` of the running weight
+    ``(ptr[1:] - ptr[0]) * elems``, by an integer search on ``ptr``.
 
-    Memoised on the part and read-only: the row costs of every (impl,
-    precision) and the partition weights all read the same counts.
+    Each running weight is an integer below 2^53, so it is exact as a
+    float64, and it reaches a target exactly when its pointer count
+    reaches ``q``, the least integer with ``q * elems >= target``.  That
+    ``q`` is ``ceil(target / elems)`` computed in floats: the quotient is
+    correctly rounded and integers are representable, so it is at most
+    ``q`` when ``(q - 1) * elems < target <= q * elems``, and above
+    ``q - 1`` because ``target`` is at least one ulp of
+    ``(q - 1) * elems`` above it, more than ``elems`` times half an ulp
+    of ``q - 1``.  (Every target is at least ``1 / nthreads``, so no
+    quotient underflows.)  No float array of the rows is built.
     """
-    memo = part.__dict__.setdefault("_row_counts", {})
-    counts = memo.get(ptr)
-    if counts is None:
-        pointer = getattr(part, ptr)
-        counts = np.empty(pointer.shape[0] - 1, dtype=np.float64)
-        # Integer differences below 2^53 convert exactly.
-        np.subtract(pointer[1:], pointer[:-1], out=counts, casting="unsafe")
-        counts.flags.writeable = False
-        memo[ptr] = counts
-    return counts
+    if nthreads < 1:
+        raise ModelError("nthreads must be >= 1")
+    n = ptr.shape[0] - 1
+    if nthreads == 1 or n == 0:
+        return RowPartition(np.array([0, n], dtype=np.int64))
+    total = float((int(ptr[-1]) - int(ptr[0])) * elems)
+    if total <= 0:
+        # Degenerate: split rows evenly.
+        bounds = np.linspace(0, n, nthreads + 1).round().astype(np.int64)
+        return RowPartition(bounds)
+    targets = total * np.arange(1, nthreads) / nthreads
+    # q never exceeds the pointer's total count, so the key fits its dtype.
+    keys = ptr[0] + np.ceil(targets / elems).astype(ptr.dtype)
+    inner = np.searchsorted(ptr[1:], keys, side="left") + 1
+    bounds = np.concatenate(([0], np.minimum(inner, n), [n])).astype(np.int64)
+    return RowPartition(bounds)
 
 
-def _weight_pointer(part: SparseFormat) -> tuple[str, int]:
+def weight_pointer(part: SparseFormat) -> tuple[np.ndarray, int]:
     """The row pointer that counts a part's stored items per block row,
     and the stored elements (padding included) of one item."""
     kind = part.block_descriptor()[0]
     if kind in ("csr", "vbl"):
-        return "row_ptr", 1
+        return part.row_ptr, 1
     if kind == "bcsr":
-        return "brow_ptr", part.block.elems
+        return part.brow_ptr, part.block.elems
     if kind == "bcsd":
-        return "brow_ptr", part.b
+        return part.brow_ptr, part.b
     raise ModelError(f"no partition weights for format kind {kind!r}")
 
 
@@ -127,25 +141,12 @@ def stored_per_block_row(part: SparseFormat) -> np.ndarray:
     """Stored elements (padding included) per block row of a format part.
 
     This is the load-balancing weight the paper uses: true nonzeros plus
-    the padding zeros a padded format computes on.  Read-only for CSR and
-    1D-VBL, whose weights are the memoised element counts themselves.
+    the padding zeros a padded format computes on.
     """
-    ptr, elems = _weight_pointer(part)
-    counts = row_counts(part, ptr)
-    return counts if elems == 1 else counts * elems
-
-
-def cumulative_weights(part: SparseFormat) -> np.ndarray:
-    """``np.cumsum(stored_per_block_row(part))``, read off the row pointer.
-
-    Every weight and partial sum is an integer below 2^53, so each float64
-    addition of the running sum is exact and the sum up to block row ``i``
-    is the pointer's ``ptr[i + 1] - ptr[0]`` times the elements per item.
-    """
-    ptr, elems = _weight_pointer(part)
-    pointer = getattr(part, ptr)
-    csum = np.empty(pointer.shape[0] - 1, dtype=np.float64)
-    np.subtract(pointer[1:], pointer[0], out=csum, casting="unsafe")
+    ptr, elems = weight_pointer(part)
+    counts = np.empty(ptr.shape[0] - 1, dtype=np.float64)
+    # Integer differences below 2^53 convert exactly.
+    np.subtract(ptr[1:], ptr[:-1], out=counts, casting="unsafe")
     if elems != 1:
-        csum *= elems
-    return csum
+        counts *= elems
+    return counts

@@ -387,9 +387,10 @@ def odd_shaped_coos(draw):
 
 class TestPerPartWork:
     """Each per-part quantity of the simulator axes is computed once per
-    part: the x-miss shape bound skips streams it proves resident, and
-    one whole-pattern CSR part (with its row-cost prefixes) serves every
-    structure that holds it."""
+    part: the x-miss shape bound skips streams it proves resident, one
+    whole-pattern CSR part (with its row-cost boundary values) serves
+    every structure that holds it, and no part keeps a per-row float
+    array."""
 
     @given(coo=odd_shaped_coos())
     @settings(max_examples=30, deadline=None)
@@ -468,6 +469,44 @@ class TestPerPartWork:
                     for c in FULL_SPACE
                 ]
         assert not any("_lazy_values" in p.__dict__ for p in remainders)
+
+    def test_parts_keep_no_per_row_float_memo(self, machine):
+        """After the six paper-config planes, no part holds a float array
+        as long as its block rows: partitions come from the pointer
+        search, and row costs are kept only at the thread boundaries."""
+        coo = make_random_coo(300, 300, 2500, seed=13, with_values=False)
+        program = MatrixProgram(coo, machine, FULL_SPACE)
+        multi = tuple(c for c in FULL_SPACE if c.kind != "vbl")
+        for precision in ("sp", "dp"):
+            for nthreads in (1, 2, 4):
+                program.evaluate(
+                    precision, nthreads, FULL_SPACE if nthreads == 1 else multi
+                )
+
+        def float_arrays(value):
+            if isinstance(value, np.ndarray):
+                if value.dtype.kind == "f":
+                    yield value
+            elif isinstance(value, dict):
+                for item in value.values():
+                    yield from float_arrays(item)
+            elif isinstance(value, (tuple, list)):
+                for item in value:
+                    yield from float_arrays(item)
+
+        parts = {
+            id(part): part
+            for fmt in program.fmt_cache.values()
+            for part in fmt.submatrices()
+        }
+        assert len(parts) > 20
+        for part in parts.values():
+            n = part.n_block_rows
+            assert n > 2 * machine.max_threads
+            assert "_boundary_costs" in part.__dict__
+            for name, value in part.__dict__.items():
+                sizes = [a.size for a in float_arrays(value)]
+                assert all(size < n for size in sizes), (part.kind, name)
 
     def test_whole_csr_part_is_shared(self, machine, monkeypatch):
         """Every decomposition without a full block holds the plain CSR

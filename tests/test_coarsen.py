@@ -13,6 +13,7 @@ from repro.formats.coarsen import (
     MAX_DIMS_PER_NNZ,
     coarsen_rows,
     column_groups,
+    merge_columns,
     pattern_csr,
     row_aggregation,
     shifted_pattern,
@@ -70,6 +71,48 @@ def test_counts_equal_blockstats(coo):
     for b in range(1, 9):
         stats = bcsd_block_stats(coo, b)
         np.testing.assert_array_equal(_sorted(by_size[b]).data, stats.counts)
+
+
+@st.composite
+def odd_coos(draw):
+    """Patterns whose column count is rarely a multiple of the width,
+    with empty rows, and single-row ones."""
+    nrows = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    ncols = draw(st.integers(1, 67))
+    nnz = draw(st.integers(0, min(300, nrows * ncols)))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return make_random_coo(nrows, ncols, nnz, seed=seed, with_values=False)
+
+
+@given(coo=odd_coos())
+@settings(max_examples=60, deadline=None)
+def test_merge_columns_equals_the_sorted_product(coo):
+    A = pattern_csr(coo, _row_ptr(coo))
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    for c in range(2, 9):
+        got = merge_columns(A, c)
+        want = _sorted(A @ column_groups(coo.ncols, c))
+        assert got.shape == want.shape
+        assert got.has_sorted_indices
+        # The merged entries own right-sized arrays, as a product's do.
+        assert got.indices.base is None and got.data.base is None
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype, name
+            np.testing.assert_array_equal(a, b)
+    # The merge works in place on copies: A itself is untouched.
+    for a, b in zip(before, (A.data, A.indices, A.indptr)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_merge_columns_on_empty_rows():
+    coo = make_random_coo(6, 10, 0, seed=3, with_values=False)
+    A = pattern_csr(coo, _row_ptr(coo))
+    got = merge_columns(A, 3)
+    assert got.shape == (6, 4)
+    assert got.indptr.tolist() == [0] * 7
+    assert got.nnz == 0
 
 
 @pytest.mark.parametrize(

@@ -99,10 +99,10 @@ class TestPlanBitIdentity:
 
 class TestPlanReuse:
     def test_cells_share_memoised_partitions(self, machine, monkeypatch):
-        """Weights and their running sum are built once per part and
-        partitions once per (part, nthreads), shared by every precision;
-        row-cost prefix sums once per (precision, part, impl) and indexed
-        by every thread count."""
+        """Partitions are found by the pointer search once per (part,
+        nthreads), for every thread count the machine has, and shared by
+        every precision and impl; the row costs take one boundary pass
+        per (part, impl, precision), read by every thread count."""
         import repro.machine.executor as executor
 
         calls = Counter()
@@ -116,7 +116,7 @@ class TestPlanReuse:
 
             monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("cumulative_weights", "cumulative_partition"):
+        for name in ("pointer_partition", "row_cost_prefix_at"):
             counted(executor, name)
         counted(KernelCostModel, "block_row_cycles")
         coo = make_random_coo(60, 60, 1500, seed=7, with_values=False)
@@ -131,19 +131,23 @@ class TestPlanReuse:
             for nthreads in threads
         ]
         got = {cell: simulate(fmt, machine, *cell) for cell in cells}
-        assert calls["cumulative_weights"] == len(parts)
-        assert calls["cumulative_partition"] == len(parts) * len(threads)
+        every_count = list(range(1, machine.max_threads + 1))
+        assert calls["pointer_partition"] == len(parts) * len(every_count)
         impls_per_part = [
             len({machine.costs.effective_impl(p, i) for i in Impl})
             for p in parts
         ]
-        assert calls["block_row_cycles"] == 2 * sum(impls_per_part)  # sp + dp
+        passes = 2 * sum(impls_per_part)  # sp + dp
+        assert calls["row_cost_prefix_at"] == passes
+        # Each pass is one chunk here, so one row-cost call.
+        assert all(p.n_block_rows <= executor.COST_CHUNK_ROWS for p in parts)
+        assert calls["block_row_cycles"] == passes
         # The memos live on the structure's parts.
         for part in parts:
-            assert sorted(part.__dict__["_row_partitions"]) == list(threads)
-            assert list(part.__dict__["_row_counts"]) == [
-                "brow_ptr" if part.kind == "bcsr" else "row_ptr"
-            ]
+            assert sorted(part.__dict__["_row_partitions"]) == every_count
+            assert len(part.__dict__["_boundary_costs"]) == (
+                2 * len({machine.costs.effective_impl(part, i) for i in Impl})
+            )
         # The reference recomputes per cell (outside the counts above).
         for cell in cells:
             assert got[cell] == simulate_reference(fmt, machine, *cell)

@@ -144,3 +144,31 @@ class TestCalibrationPins:
         payload = json.dumps(profile_to_payload(profile), sort_keys=True)
         assert sha256(payload.encode()).hexdigest()[:16] == payload_sha
         assert profile_token(profile) == token
+
+
+class TestLatencyCalibration:
+    """``calibrate_latency`` reads the x-miss count the simulation already
+    estimated instead of estimating the same stream twice."""
+
+    @pytest.mark.parametrize(
+        "precision,latency_hex",
+        [("sp", "0x1.3a5d5fee67d17p-25"), ("dp", "0x1.3a7b200ff0904p-25")],
+    )
+    def test_latency_cost_is_pinned_and_estimated_once(
+        self, machine, monkeypatch, precision, latency_hex
+    ):
+        import repro.machine.cache as cache
+        import repro.machine.executor as executor
+
+        real = cache.estimate_x_access_misses
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cache, "estimate_x_access_misses", counted)
+        monkeypatch.setattr(executor, "estimate_x_access_misses", counted)
+        profile = profile_machine(machine, precision, calibrate_latency=True)
+        assert profile.latency_cost_s.hex() == latency_hex
+        assert len(calls) == 1
