@@ -7,8 +7,9 @@ strongly blockable matrix and measures how much the oracle gains — the gain
 should be marginal, validating the cap.
 """
 
-from repro.core import candidate_space, evaluate_candidates, oracle_best
+from repro.core import candidate_space, oracle_best
 from repro.machine import CORE2_XEON
+from repro.machine.batch import MatrixProgram
 from repro.matrices.generators import grid2d
 
 
@@ -16,12 +17,9 @@ def test_block_cap_costs_little(benchmark):
     coo = grid2d(100, 100, 9, dof=4, drop_fraction=0.15, seed=4)
 
     def evaluate(cap):
-        results = evaluate_candidates(
-            coo, CORE2_XEON, "dp",
-            candidates=candidate_space(max_block_elems=cap),
-            models=(),
-        )
-        return oracle_best(results)
+        candidates = candidate_space(max_block_elems=cap)
+        program = MatrixProgram(coo, CORE2_XEON, candidates)
+        return oracle_best(program.evaluate("dp", 1, candidates))
 
     best8 = benchmark.pedantic(evaluate, args=(8,), rounds=1, iterations=1)
     best16 = evaluate(16)

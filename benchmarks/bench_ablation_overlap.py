@@ -10,17 +10,21 @@ modelling the prefetch overlap, not from a generic fudge factor.
 
 from statistics import mean
 
-from repro.core import evaluate_candidates, profile_machine
+from repro.core import ProfileCache, candidate_space, profile_machine
 from repro.machine import CORE2_XEON
+from repro.machine.batch import MatrixProgram
 from repro.matrices.generators import grid2d
 from repro.types import Impl
 
 
 def _model_errors(machine):
     coo = grid2d(110, 110, 5, dof=3, drop_fraction=0.2, seed=9)
-    profile = profile_machine(machine, "dp")
-    results = evaluate_candidates(
-        coo, machine, "dp", profile=profile, models=("mem", "memcomp"),
+    cache = ProfileCache()
+    cache.seed(machine, profile_machine(machine, "dp"))
+    candidates = candidate_space()
+    program = MatrixProgram(coo, machine, candidates, profile_cache=cache)
+    results = program.evaluate(
+        "dp", 1, candidates, models=("mem", "memcomp")
     )
     errors = {}
     for model in ("mem", "memcomp"):

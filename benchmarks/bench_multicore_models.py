@@ -11,13 +11,14 @@ still selects well at 4 cores on representative matrices.
 from statistics import mean
 
 from repro.core import (
+    ProfileCache,
     candidate_space,
-    evaluate_candidates,
     oracle_best,
     profile_machine,
     select_with_model,
 )
 from repro.machine import CORE2_XEON
+from repro.machine.batch import MatrixProgram
 from repro.matrices.suite import get_entry
 
 MATRICES = ("audikw_1", "fdiff", "parabolic_fem", "pwtk", "ASIC_680k",
@@ -25,17 +26,17 @@ MATRICES = ("audikw_1", "fdiff", "parabolic_fem", "pwtk", "ASIC_680k",
 
 
 def _selection_offsets(nthreads):
-    profile = profile_machine(CORE2_XEON, "dp")
+    cache = ProfileCache()
+    cache.seed(CORE2_XEON, profile_machine(CORE2_XEON, "dp"))
     candidates = candidate_space(include_vbl=False)
     offsets = []
     for name in MATRICES:
         coo = get_entry(name).build()
-        results = evaluate_candidates(
-            coo, CORE2_XEON, "dp",
-            candidates=candidates,
-            models=("overlap",),
-            profile=profile,
-            nthreads=nthreads,
+        program = MatrixProgram(
+            coo, CORE2_XEON, candidates, profile_cache=cache
+        )
+        results = program.evaluate(
+            "dp", nthreads, candidates, models=("overlap",)
         )
         best = oracle_best(results)
         sel = select_with_model(results, "overlap")

@@ -16,8 +16,10 @@ e.g. ``python examples/format_explorer.py pwtk dp``.
 import sys
 
 from repro import CORE2_XEON
+from repro.bench.harness import MODEL_NAMES
 from repro.bench.report import render_table
-from repro.core import evaluate_candidates, oracle_best, select_with_model
+from repro.core import candidate_space, oracle_best, select_with_model
+from repro.machine.batch import MatrixProgram
 from repro.matrices import get_entry
 
 
@@ -28,7 +30,10 @@ def main() -> None:
     print(f"building {entry.name} ({entry.note}) ...")
     coo = entry.build()
 
-    results = evaluate_candidates(coo, CORE2_XEON, precision)
+    candidates = candidate_space()
+    results = MatrixProgram(coo, CORE2_XEON, candidates).evaluate(
+        precision, 1, candidates, models=MODEL_NAMES
+    )
     t_csr = next(
         r.t_real for r in results if r.candidate.kind == "csr"
     )
@@ -52,7 +57,7 @@ def main() -> None:
 
     best = oracle_best(results)
     print(f"\noracle best: {best.candidate.label}")
-    for model in ("mem", "memcomp", "overlap"):
+    for model in MODEL_NAMES:
         sel = select_with_model(results, model)
         off = (sel.t_real / best.t_real - 1) * 100
         print(f"{model.upper():8s} selects {sel.candidate.label:20s} "

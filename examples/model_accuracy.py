@@ -14,8 +14,10 @@ underpredicts because none accounts for input-vector cache misses.
 from statistics import mean
 
 from repro import CORE2_XEON
+from repro.bench.harness import MODEL_NAMES
 from repro.bench.report import render_table
-from repro.core import evaluate_candidates
+from repro.core import candidate_space
+from repro.machine.batch import MatrixProgram
 from repro.matrices import generators as g
 
 MATRICES = {
@@ -29,13 +31,16 @@ MATRICES = {
 
 
 def main() -> None:
+    candidates = candidate_space()
     rows = []
     for label, build in MATRICES.items():
         print(f"evaluating {label} ...")
         coo = build()
-        results = evaluate_candidates(coo, CORE2_XEON, "dp")
+        results = MatrixProgram(coo, CORE2_XEON, candidates).evaluate(
+            "dp", 1, candidates, models=MODEL_NAMES
+        )
         cells = [label]
-        for model in ("mem", "memcomp", "overlap"):
+        for model in MODEL_NAMES:
             ratios = [
                 r.predictions[model] / r.t_real
                 for r in results

@@ -12,8 +12,9 @@ The package implements, from scratch:
 * the MEM / MEMCOMP / OVERLAP performance models with profiling-based
   calibration, candidate enumeration and autotuning (:mod:`repro.core`);
 * the 30-matrix synthetic evaluation suite (:mod:`repro.matrices`);
-* the multithreading substrate (:mod:`repro.parallel`) and the experiment
-  harness regenerating every table and figure (:mod:`repro.bench`).
+* the padding-aware row partitioning of multithreaded runs
+  (:mod:`repro.parallel`) and the experiment harness regenerating every
+  table and figure (:mod:`repro.bench`).
 
 Quickstart::
 
@@ -34,7 +35,6 @@ from .core import (
     MemModel,
     OverlapModel,
     candidate_space,
-    evaluate_candidates,
     oracle_best,
     profile_machine,
     select_with_model,
@@ -72,7 +72,6 @@ __all__ = [
     "MemModel",
     "MemCompModel",
     "OverlapModel",
-    "evaluate_candidates",
     "select_with_model",
     "oracle_best",
     # machine

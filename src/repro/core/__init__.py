@@ -35,7 +35,6 @@ from .selection import (
     CandidateResult,
     StatsCache,
     build_candidate,
-    evaluate_candidates,
     oracle_best,
     select_with_model,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "CandidateResult",
     "StatsCache",
     "build_candidate",
-    "evaluate_candidates",
     "select_with_model",
     "oracle_best",
 ]

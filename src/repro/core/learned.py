@@ -294,8 +294,9 @@ class LearnedSelector:
 
         Returns the winning :class:`~repro.core.selection.CandidateResult`.
         """
+        from ..machine.batch import MatrixProgram
         from .candidates import candidate_space
-        from .selection import evaluate_candidates, select_with_model
+        from .selection import select_with_model
 
         kind = self.predict_kind(coo, precision)
         pool = [
@@ -303,16 +304,10 @@ class LearnedSelector:
         ]
         if not pool:
             raise ModelError(f"no candidates of predicted kind {kind!r}")
-        results = evaluate_candidates(
-            coo,
-            self.machine,
-            precision,
-            candidates=pool,
-            models=("overlap",) if kind != "vbl" else ("mem",),
-            profile_cache=profile_cache,
-            run_simulation=False,
-        )
         model = "overlap" if kind != "vbl" else "mem"
+        results = MatrixProgram(
+            coo, self.machine, pool, profile_cache=profile_cache
+        ).predict(precision, 1, pool, models=(model,))
         # select_with_model excludes vbl for fixed-size models; handle here.
         if kind == "vbl":
             return results[0]

@@ -1,13 +1,16 @@
 """Candidate evaluation and format selection (the paper's tuning loop).
 
-:func:`evaluate_candidates` converts a matrix into every candidate format
-(structure-only — no value arrays are materialised), asks each performance
-model for a prediction, and optionally runs the execution simulator for the
-"measured" time.  Conversions share the block-structure analysis between a
-padded format and its decomposed sibling, halving the dominant cost.
-
 :class:`AutoTuner` is the high-level public API: profile once, then select
-the best (format, block, implementation) for any matrix and build it.
+the best (format, block, implementation) for any matrix and build it.  It
+ranks through the whole-matrix array program
+(:meth:`repro.machine.batch.MatrixProgram.predict`), the one evaluation
+path of the sweep, the advisor and the examples.
+
+:func:`evaluate_candidates` is the per-candidate reference loop that path
+is pinned to: it converts the matrix into every candidate format through
+:func:`build_candidate`, asks each performance model for a prediction, and
+optionally runs the simulator.  :mod:`repro.oracle` and the equivalence
+tests compare against it; it is not part of the package's public API.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ __all__ = [
     "CandidateResult",
     "StatsCache",
     "build_candidate",
-    "evaluate_candidates",
     "select_with_model",
     "oracle_best",
     "AutoTuner",
@@ -146,6 +148,10 @@ def evaluate_candidates(
     timings: dict | None = None,
 ) -> list[CandidateResult]:
     """Evaluate every candidate on ``coo``: predictions and simulated time.
+
+    The per-candidate reference loop: one conversion, model call and
+    simulator call per candidate.  :class:`~repro.machine.batch.MatrixProgram`
+    must reproduce its results bit for bit (the equivalence tests pin it).
 
     Models that do not cover a candidate (MEMCOMP/OVERLAP on 1D-VBL) simply
     omit a prediction for it, as in the paper.
@@ -282,42 +288,30 @@ class AutoTuner:
         model: str = "overlap",
         candidates: Sequence[Candidate] | None = None,
         nthreads: int = 1,
-        batch: bool = False,
+        batch: bool = True,
     ) -> CandidateResult:
         """Pick the best candidate for ``coo`` according to ``model``.
 
-        ``batch=True`` ranks through the whole-matrix array program's
-        models-only plane (:meth:`repro.machine.batch.MatrixProgram.predict`)
-        — same selection, bit-identical predictions, one fused planning
-        pass instead of a per-candidate conversion loop.  Either way the
-        result carries ``sim=None``: selection reads only predictions.
+        Ranks through the whole-matrix array program's models-only plane
+        (:meth:`repro.machine.batch.MatrixProgram.predict`), which predicts
+        MEM, MEMCOMP and OVERLAP; the result carries ``sim=None``, since
+        selection reads only predictions.
         """
-        if batch:
-            # Imported lazily: machine.batch sits above this module.
-            from ..machine.batch import MatrixProgram
+        # ``batch`` accepts only True.  perfbench's advise-cold reference
+        # passes ``batch=True``; that caller is the only reason it exists.
+        if not batch:
+            raise ModelError("AutoTuner.select has one path; batch must be True")
+        # Imported lazily: machine.batch sits above this module.
+        from ..machine.batch import MatrixProgram
 
-            if candidates is None:
-                candidates = candidate_space()
-            program = MatrixProgram(
-                coo,
-                self.machine,
-                candidates,
-                profile_cache=self.profile_cache,
-            )
-            results = program.predict(
-                precision, nthreads, candidates, models=(model,)
-            )
-        else:
-            results = evaluate_candidates(
-                coo,
-                self.machine,
-                precision,
-                candidates=candidates,
-                models=(model,),
-                profile_cache=self.profile_cache,
-                run_simulation=False,
-                nthreads=nthreads,
-            )
+        if candidates is None:
+            candidates = candidate_space()
+        program = MatrixProgram(
+            coo, self.machine, candidates, profile_cache=self.profile_cache
+        )
+        results = program.predict(
+            precision, nthreads, candidates, models=(model,)
+        )
         return select_with_model(results, model)
 
     def build(

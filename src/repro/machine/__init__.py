@@ -12,7 +12,7 @@ from .cache import (
     x_budget_lines,
 )
 from .costs import KernelCostModel
-from .executor import SimResult, simulate, simulate_plane
+from .executor import SimResult, simulate
 from .machine import CacheLevel, MachineModel
 from .presets import CORE2_XEON, GENERIC_MODERN, PRESETS, get_preset
 from .stream import StreamResult, simulated_stream
@@ -23,7 +23,6 @@ __all__ = [
     "KernelCostModel",
     "SimResult",
     "simulate",
-    "simulate_plane",
     "estimate_stream_misses",
     "estimate_x_access_misses",
     "x_budget_lines",

@@ -39,7 +39,7 @@ pinned by the equivalence tests.
 
 :class:`MatrixProgram` is the **batched cell evaluator**: one (precision,
 threads) plane of cells goes through the simulator
-(:func:`repro.machine.executor.simulate_plane`, the one simulator, whose
+(:func:`repro.machine.executor.simulate_cells`, the one simulator, whose
 cells axis is the candidate axis) and through the MEM/MEMCOMP/OVERLAP
 predictors stacked the same way — working sets, per-part profiled block
 times and overlap factors as arrays over the cells.  Bit-identity with
@@ -501,8 +501,9 @@ class MatrixProgram:
     Built once per matrix: the fused planning pass constructs every
     candidate structure, and :meth:`evaluate` batch-evaluates one
     (precision, threads) plane of cells — the candidate loop is an array
-    axis.  :meth:`predict` is the models-only plane the advisor ranks; it
-    runs no simulator.  The simulator's per-part memos (row-cost boundary
+    axis.  :meth:`predict` is the models-only plane every selector ranks
+    (the advisor, ``AutoTuner`` and ``LearnedSelector``); it runs no
+    simulator.  The simulator's per-part memos (row-cost boundary
     values, partitions, x-miss counts) live on the structures' parts, so
     they die with the program.
     """
@@ -574,10 +575,11 @@ class MatrixProgram:
     ) -> list[CandidateResult]:
         """Model predictions for one (precision, threads) plane, no simulator.
 
-        The advisor's path: the fused planning pass plus :meth:`_predict`.
-        It runs no simulator axis and never materializes lazy index
-        values.  The results carry ``sim=None``; their predictions are
-        bit-identical to ``evaluate_candidates(..., run_simulation=False)``.
+        The one ranking path: the fused planning pass plus
+        :meth:`_predict`.  It runs no simulator axis and never materializes
+        lazy index values.  The results carry ``sim=None``; their
+        predictions are bit-identical to the per-candidate reference loop's,
+        ``evaluate_candidates(..., run_simulation=False)``.
         """
         precision = Precision.coerce(precision)
         return self._cells(

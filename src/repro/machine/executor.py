@@ -22,15 +22,16 @@ slowest thread sets the pace.
 ``zero_col_ind=True`` reproduces the paper's custom benchmark that zeroes
 the column indices of CSR so every x access hits the same cache line.
 
-There is one simulator, :func:`simulate_plane`: it evaluates a *plane* of
-``(format, impl)`` cells at one (precision, thread count) with the cell
-index as an array axis.  :func:`simulate` is the one-cell call and
+There is one simulator, :func:`simulate_cells`: it evaluates a *plane* of
+cells at one (precision, thread count) with the cell index as an array
+axis, each cell given by its submatrices, working set and impl.
+:func:`simulate` is the one-cell call and
 :meth:`repro.machine.batch.MatrixProgram.evaluate` the whole-matrix one,
-which hands :func:`simulate_cells` the submatrices and working sets it
-already computed for its models.  Every float operation is elementwise
-with the same operands in the same order as the scalar formula above, and
-the only reduction across threads is ``max``, so a cell's result does not
-depend on which plane it rides in.
+which hands it the submatrices and working sets it already computed for
+its models.  Every float operation is elementwise with the same operands
+in the same order as the scalar formula above, and the only reduction
+across threads is ``max``, so a cell's result does not depend on which
+plane it rides in.
 
 The terms that depend only on a format *part* are memoised on the part,
 so every cell and every structure holding it (the fused planner shares one
@@ -83,7 +84,7 @@ from .machine import MachineModel
 
 __all__ = [
     "SimResult", "row_cost_prefix_at", "simulate", "simulate_cells",
-    "simulate_plane", "x_misses",
+    "x_misses",
 ]
 
 #: Block rows per chunk of the row-cost pass: a chunk's row cycles and
@@ -281,25 +282,6 @@ def x_misses(
 # The simulator
 # --------------------------------------------------------------------------- #
 
-def simulate_plane(
-    cells: Sequence[tuple[SparseFormat, Impl | str]],
-    machine: MachineModel,
-    precision: Precision | str = Precision.DP,
-    nthreads: int = 1,
-    *,
-    zero_col_ind: bool = False,
-) -> list[SimResult]:
-    """Simulate every ``(format, impl)`` cell at one (precision, threads)."""
-    precision = Precision.coerce(precision)
-    fmts = [fmt for fmt, _ in cells]
-    return simulate_cells(
-        [tuple(fmt.submatrices()) for fmt in fmts],
-        [fmt.working_set(precision) for fmt in fmts],
-        [impl for _, impl in cells],
-        machine, precision, nthreads, zero_col_ind=zero_col_ind,
-    )
-
-
 def simulate_cells(
     parts: Sequence[tuple[SparseFormat, ...]],
     ws: Sequence[int],
@@ -310,8 +292,8 @@ def simulate_cells(
     *,
     zero_col_ind: bool = False,
 ) -> list[SimResult]:
-    """:func:`simulate_plane` over cells given by their submatrices,
-    working sets and impls, for callers that already hold them.
+    """Simulate every cell of one (precision, threads) plane, each given
+    by its submatrices, working set and impl.
 
     Working sets, bandwidths, streaming-loss factors, start-up cycles and
     x-miss counts are length-``ncells`` vectors; the per-part exposure
@@ -421,6 +403,8 @@ def simulate(
     zero_col_ind: bool = False,
 ) -> SimResult:
     """Simulated steady-state time of one ``y = A @ x`` with ``fmt``."""
-    return simulate_plane(
-        [(fmt, impl)], machine, precision, nthreads, zero_col_ind=zero_col_ind
+    precision = Precision.coerce(precision)
+    return simulate_cells(
+        [tuple(fmt.submatrices())], [fmt.working_set(precision)], [impl],
+        machine, precision, nthreads, zero_col_ind=zero_col_ind,
     )[0]

@@ -16,7 +16,7 @@ paths to these slower, unfactored ones bit for bit:
 * :func:`simulate_reference` — one simulator cell, recomputing every
   structure-dependent quantity on each call (whole-part row cycles, a
   float running weight and a whole-part prefix per part) through the
-  windowed estimator; :func:`repro.machine.executor.simulate_plane`,
+  windowed estimator; :func:`repro.machine.executor.simulate_cells`,
   which searches the row pointer and sums row costs only up to the
   thread boundaries, must reproduce it float for float.
 * :func:`reference_sweep` — the sweep through ``build_candidate``, the

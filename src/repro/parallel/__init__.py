@@ -1,16 +1,14 @@
-"""Multithreading substrate: static row-wise, padding-aware partitioning."""
+"""Static row-wise, padding-aware partitioning of a format's block rows
+across threads (the paper's Section V-A scheme)."""
 
 from .partition import (
     RowPartition,
     balanced_partition,
     stored_per_block_row,
 )
-from .threaded import ThreadedSpMV, row_block_slice
 
 __all__ = [
     "RowPartition",
     "balanced_partition",
     "stored_per_block_row",
-    "ThreadedSpMV",
-    "row_block_slice",
 ]

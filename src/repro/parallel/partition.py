@@ -19,7 +19,6 @@ from ..formats.base import SparseFormat
 __all__ = [
     "RowPartition",
     "balanced_partition",
-    "cumulative_partition",
     "pointer_partition",
     "prefix_sums",
     "stored_per_block_row",
@@ -46,10 +45,6 @@ class RowPartition:
     def nthreads(self) -> int:
         return int(self.boundaries.shape[0] - 1)
 
-    def slices(self) -> list[slice]:
-        b = self.boundaries
-        return [slice(int(b[t]), int(b[t + 1])) for t in range(self.nthreads)]
-
     def segment_sums(self, per_row: np.ndarray) -> np.ndarray:
         """Sum a per-block-row quantity over each thread's rows."""
         prefix = prefix_sums(per_row)
@@ -63,17 +58,9 @@ def balanced_partition(weights: np.ndarray, nthreads: int) -> RowPartition:
     scheme): boundary ``t`` is placed where the running weight first reaches
     ``t/nthreads`` of the total.
     """
-    return cumulative_partition(
-        np.cumsum(np.asarray(weights, dtype=np.float64)), nthreads
-    )
-
-
-def cumulative_partition(csum: np.ndarray, nthreads: int) -> RowPartition:
-    """:func:`balanced_partition` read off the running weight ``csum``
-    (``np.cumsum`` of the weights), so one running sum serves every
-    thread count."""
     if nthreads < 1:
         raise ModelError("nthreads must be >= 1")
+    csum = np.cumsum(np.asarray(weights, dtype=np.float64))
     n = csum.shape[0]
     if nthreads == 1 or n == 0:
         return RowPartition(np.array([0, n], dtype=np.int64))
@@ -92,8 +79,9 @@ def cumulative_partition(csum: np.ndarray, nthreads: int) -> RowPartition:
 def pointer_partition(
     ptr: np.ndarray, elems: int, nthreads: int
 ) -> RowPartition:
-    """:func:`cumulative_partition` of the running weight
-    ``(ptr[1:] - ptr[0]) * elems``, by an integer search on ``ptr``.
+    """:func:`balanced_partition` of the weights ``np.diff(ptr) * elems``,
+    by an integer search on ``ptr`` for their running sum
+    ``(ptr[1:] - ptr[0]) * elems``.
 
     Each running weight is an integer below 2^53, so it is exact as a
     float64, and it reaches a target exactly when its pointer count

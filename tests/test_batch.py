@@ -24,7 +24,12 @@ from hypothesis import strategies as st
 from repro.bench.harness import MODEL_NAMES
 from repro.core.candidates import Candidate, candidate_space, unique_structures
 from repro.core.profiling import ProfileCache
-from repro.core.selection import AutoTuner, build_candidate, evaluate_candidates
+from repro.core.selection import (
+    AutoTuner,
+    build_candidate,
+    evaluate_candidates,
+    select_with_model,
+)
 from repro.formats.coo import COOMatrix
 from repro.machine.batch import MatrixProgram, _LazyCSR, plan_structures
 from repro.machine.cache import x_budget_lines
@@ -197,21 +202,28 @@ class TestMatrixProgramEquivalence:
             assert got.predictions == want.predictions
 
     def test_autotuner_batched_select_agrees(self, small_coo, machine):
+        """``AutoTuner.select`` picks what the per-candidate reference
+        loop picks, with the same predictions."""
         # The "mem" model needs no calibrated profile, so this stays fast.
         tuner = AutoTuner(machine)
-        plain = tuner.select(small_coo, model="mem", candidates=CANDIDATES)
-        batched = tuner.select(
-            small_coo, model="mem", candidates=CANDIDATES, batch=True
+        batched = tuner.select(small_coo, model="mem", candidates=CANDIDATES)
+        reference = select_with_model(
+            evaluate_candidates(
+                small_coo, machine, "dp", candidates=CANDIDATES,
+                models=("mem",), run_simulation=False,
+            ),
+            "mem",
         )
-        assert batched.candidate == plain.candidate
-        assert batched.predictions == plain.predictions
+        assert batched.candidate == reference.candidate
+        assert batched.predictions == reference.predictions
 
     def test_autotuner_batched_select_runs_no_simulator(
         self, machine, monkeypatch
     ):
         """Selection reads only predictions: on a pattern whose x stream
-        overflows the cache budget, ``batch=True`` never reaches the
-        x-miss estimator and equals ``batch=False`` (``sim`` included)."""
+        overflows the cache budget, ``AutoTuner.select`` never reaches the
+        x-miss estimator and equals the reference loop's choice (``sim``
+        included)."""
         import repro.machine.executor as executor
 
         def refuse(*args, **kwargs):
@@ -224,9 +236,13 @@ class TestMatrixProgramEquivalence:
             l2=dataclasses.replace(machine.l2, size_bytes=16 * 1024),
         )
         coo = make_random_coo(200, 6000, 4000, seed=5, with_values=False)
-        tuner = AutoTuner(small)
-        batched = tuner.select(coo, model="mem", batch=True)
-        assert batched == tuner.select(coo, model="mem", batch=False)
+        batched = AutoTuner(small).select(coo, model="mem")
+        assert batched == select_with_model(
+            evaluate_candidates(
+                coo, small, "dp", models=("mem",), run_simulation=False
+            ),
+            "mem",
+        )
         assert batched.sim is None
         # The pattern does reach the estimator once a cell is simulated.
         with pytest.raises(AssertionError, match="x-miss estimator"):

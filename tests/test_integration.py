@@ -10,7 +10,8 @@ from repro import (
     build_format,
     simulate,
 )
-from repro.core import evaluate_candidates, oracle_best, select_with_model
+from repro.core import oracle_best, select_with_model
+from repro.core.selection import evaluate_candidates
 from repro.matrices import generators as g
 from repro.matrices import read_matrix_market, write_matrix_market
 

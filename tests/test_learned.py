@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.candidates import candidate_space
 from repro.core.learned import (
     FEATURE_NAMES,
     DecisionTree,
     LearnedSelector,
     extract_features,
 )
+from repro.core.selection import evaluate_candidates, select_with_model
 from repro.errors import ModelError
 from repro.machine import CORE2_XEON
 from repro.matrices import generators as g
@@ -114,6 +116,28 @@ class TestLearnedSelector:
         coo = g.grid2d(30, 30, 5, dof=3, drop_fraction=0.2, seed=55)
         result = trained.select(coo, "dp")
         assert result.candidate.kind == "bcsr"
+
+    @pytest.mark.parametrize("build", [
+        lambda: g.grid2d(30, 30, 5, dof=3, drop_fraction=0.2, seed=55),
+        lambda: g.random_uniform(4000, 4000, 24_000, seed=56),
+        lambda: g.diagonal_pattern(5000, (0, 1, -1, 40, -40), 0.95, seed=57),
+    ], ids=["bcsr", "csr", "bcsd"])
+    def test_select_matches_the_reference_loop(self, trained, build):
+        """The OVERLAP ranking inside the predicted kind is the
+        per-candidate reference loop's, candidate and predictions."""
+        coo = build()
+        kind = trained.predict_kind(coo, "dp")
+        pool = [c for c in candidate_space() if c.kind == kind]
+        want = select_with_model(
+            evaluate_candidates(
+                coo, CORE2_XEON, "dp", candidates=pool,
+                models=("overlap",), run_simulation=False,
+            ),
+            "overlap",
+        )
+        got = trained.select(coo, "dp")
+        assert got.candidate == want.candidate
+        assert got.predictions == want.predictions
 
     def test_unfitted_raises(self):
         sel = LearnedSelector(CORE2_XEON)

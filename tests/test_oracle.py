@@ -5,6 +5,11 @@
 module imported it, a slow reference path could quietly become a
 production one, and the oracle would no longer be independent of what it
 checks.
+
+The per-candidate reference loop, ``evaluate_candidates``, is held to the
+same rule: outside tests, only its defining module and the oracle name
+it, so every package, bench and example caller evaluates through
+:class:`repro.machine.batch.MatrixProgram`.
 """
 
 from __future__ import annotations
@@ -14,8 +19,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 ORACLE = "repro.oracle"
+REFERENCE_LOOP = "evaluate_candidates"
+#: The only program files that may name the reference loop.
+REFERENCE_LOOP_HOMES = {"src/repro/core/selection.py", "src/repro/oracle.py"}
 
 
 def _module_name(path: Path) -> str:
@@ -84,3 +93,67 @@ def test_scan_ignores_lookalikes():
     assert not _imports_oracle(
         imported_modules(source, "repro.core.selection", False)
     )
+
+
+def identifiers(source: str) -> set[str]:
+    """Every identifier ``source`` imports, defines, reads or looks up as
+    an attribute; string contents (docstrings included) are not code."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias):
+            found.update(node.name.split("."))
+            if node.asname:
+                found.add(node.asname)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            found.add(node.name)
+    return found
+
+
+def reference_loop_callers(root: Path) -> list[str]:
+    """Program files under ``root`` outside the loop's two homes that name
+    the reference loop."""
+    found = []
+    for top in ("src", "benchmarks", "examples"):
+        for path in sorted((root / top).rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            if rel in REFERENCE_LOOP_HOMES:
+                continue
+            if REFERENCE_LOOP in identifiers(path.read_text()):
+                found.append(rel)
+    return found
+
+
+def test_only_the_oracle_and_its_home_name_the_reference_loop():
+    assert reference_loop_callers(ROOT) == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "from repro.core.selection import evaluate_candidates",
+        "from .selection import evaluate_candidates as loop",
+        "from repro import core\ncore.evaluate_candidates(coo, m, 'dp')",
+        "import repro.core.selection as s\nf = s.evaluate_candidates",
+        "def main():\n    return evaluate_candidates",
+    ],
+    ids=["import", "relative-alias", "attribute-call", "module-alias",
+         "bare-name"],
+)
+def test_loop_scan_sees_every_use(source):
+    assert REFERENCE_LOOP in identifiers(source)
+
+
+def test_loop_scan_ignores_strings():
+    source = (
+        '"""Pinned to ``evaluate_candidates(..., run_simulation=False)``."""\n'
+        "# evaluate_candidates in a comment\n"
+        "__all__ = ['evaluate_candidates']\n"
+        "evaluate_candidates_fast = 1\n"
+    )
+    assert REFERENCE_LOOP not in identifiers(source)

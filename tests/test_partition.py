@@ -11,7 +11,6 @@ from repro.machine import executor
 from repro.machine.presets import get_preset
 from repro.parallel import balanced_partition, stored_per_block_row
 from repro.parallel.partition import (
-    cumulative_partition,
     pointer_partition,
     prefix_sums,
     weight_pointer,
@@ -120,10 +119,10 @@ class TestFormatWeights:
         coo = make_random_coo(36, 36, 200, seed=63, with_values=False)
         fmt = build_format(coo, kind, block, with_values=False)
         ptr, elems = weight_pointer(fmt)
-        csum = np.cumsum(stored_per_block_row(fmt))
+        weights = stored_per_block_row(fmt)
         for nthreads in range(1, 9):
             got = pointer_partition(ptr, elems, nthreads).boundaries
-            want = cumulative_partition(csum, nthreads).boundaries
+            want = balanced_partition(weights, nthreads).boundaries
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist()
 
@@ -151,15 +150,15 @@ def _pointers(draw):
 
 class TestPointerPartition:
     """The integer search equals the float running-weight split it
-    replaces, ``cumulative_partition(np.cumsum(weights), T)``."""
+    replaces, ``balanced_partition(weights, T)``."""
 
     @given(ptr=_pointers(), elems=st.integers(1, 8))
     @settings(max_examples=300, deadline=None)
     def test_equals_the_running_weight_split(self, ptr, elems):
-        csum = np.cumsum(np.diff(ptr).astype(np.float64) * elems)
+        weights = np.diff(ptr).astype(np.float64) * elems
         for nthreads in range(1, 9):
             got = pointer_partition(ptr, elems, nthreads).boundaries
-            want = cumulative_partition(csum, nthreads).boundaries
+            want = balanced_partition(weights, nthreads).boundaries
             assert got.dtype == want.dtype
             assert got.tolist() == want.tolist(), nthreads
 
@@ -172,10 +171,10 @@ class TestPointerPartition:
     ])
     def test_edge_pointers(self, counts, elems):
         ptr = 5 + np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        csum = np.cumsum(np.diff(ptr).astype(np.float64) * elems)
+        weights = np.diff(ptr).astype(np.float64) * elems
         for nthreads in range(1, 9):
             got = pointer_partition(ptr, elems, nthreads).boundaries
-            want = cumulative_partition(csum, nthreads).boundaries
+            want = balanced_partition(weights, nthreads).boundaries
             assert got.tolist() == want.tolist(), nthreads
 
     @given(

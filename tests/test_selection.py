@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    MODELS,
     AutoTuner,
     Candidate,
     candidate_space,
-    evaluate_candidates,
     oracle_best,
+    register_extended_models,
     select_with_model,
 )
 from repro.core.candidates import diag_sizes, rect_shapes
-from repro.core.selection import StatsCache, build_candidate
+from repro.core.selection import StatsCache, build_candidate, evaluate_candidates
 from repro.errors import ModelError
 from repro.matrices.generators import grid2d, random_values
 from repro.types import Impl
@@ -164,3 +165,23 @@ class TestAutoTuner:
         tuner = AutoTuner(machine)
         choice = tuner.select(fem, precision="dp", model="overlap")
         assert choice.candidate.kind != "csr"
+
+    def test_refuses_the_per_candidate_path(self, small_coo, machine):
+        """``batch`` survives only as a keyword that accepts True."""
+        tuner = AutoTuner(machine)
+        with pytest.raises(ModelError):
+            tuner.select(small_coo, model="mem", batch=False)
+
+    def test_refuses_a_model_without_a_batched_predictor(
+        self, small_coo, machine
+    ):
+        """The one ranking path predicts MEM/MEMCOMP/OVERLAP only; a
+        registered extension model is refused, as the advisor refuses it."""
+        saved = dict(MODELS)
+        try:
+            register_extended_models()
+            with pytest.raises(ModelError, match=r"overlap\+lat"):
+                AutoTuner(machine).select(small_coo, model="overlap+lat")
+        finally:
+            MODELS.clear()
+            MODELS.update(saved)
