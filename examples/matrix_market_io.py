@@ -20,19 +20,7 @@ from repro.matrices import read_matrix_market, write_matrix_market
 from repro.matrices.generators import diagonal_pattern, random_values
 
 
-def main() -> None:
-    if len(sys.argv) > 1:
-        path = Path(sys.argv[1])
-        print(f"reading {path} ...")
-    else:
-        path = Path(tempfile.gettempdir()) / "repro_demo.mtx.gz"
-        demo = random_values(
-            diagonal_pattern(40_000, (0, 1, -1, 150, -150), fill=0.9, seed=5),
-            seed=6,
-        )
-        print(f"no file given; writing a demo matrix to {path} ...")
-        write_matrix_market(path, demo)
-
+def tune(path: Path) -> None:
     coo = read_matrix_market(path)
     print(f"loaded: {coo.nrows:,} x {coo.ncols:,}, {coo.nnz:,} nonzeros")
 
@@ -44,6 +32,25 @@ def main() -> None:
             f"(ws {choice.ws_bytes / 2**20:.2f} MiB, "
             f"padding {choice.padding_ratio:.3f})"
         )
+
+
+def main() -> None:
+    if len(sys.argv) > 1:
+        path = Path(sys.argv[1])
+        print(f"reading {path} ...")
+        tune(path)
+        return
+    demo = random_values(
+        diagonal_pattern(40_000, (0, 1, -1, 150, -150), fill=0.9, seed=5),
+        seed=6,
+    )
+    # A directory of its own, removed on exit: concurrent runs never share
+    # the file, and none is left behind.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "repro_demo.mtx.gz"
+        print(f"no file given; writing a demo matrix to {path} ...")
+        write_matrix_market(path, demo)
+        tune(path)
 
 
 if __name__ == "__main__":

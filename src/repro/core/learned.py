@@ -29,6 +29,14 @@ import numpy as np
 
 from ..errors import ModelError
 from ..formats.blockstats import bcsd_block_stats, bcsr_block_stats
+from ..formats.coarsen import (
+    coarsen_rows,
+    column_groups,
+    merge_columns,
+    pattern_csr,
+    shifted_pattern,
+    worth_coarsening,
+)
 from ..formats.coo import COOMatrix
 from ..machine.cache import x_budget_lines
 from ..machine.machine import MachineModel
@@ -54,6 +62,45 @@ FEATURE_NAMES = (
     "density_log10",
 )
 
+#: The ``(r, c)`` of the four BCSR fill features, and the BCSD size of the
+#: diagonal one.
+_RECT_FILLS = ((1, 2), (2, 1), (2, 2), (3, 3))
+_DIAG_FILL = 4
+
+
+def _block_fills(coo: COOMatrix) -> list[float]:
+    """The five fill features, each ``nnz / (blocks * elems)`` (1.0 when
+    the blocking has no blocks).
+
+    A fill needs only its block count, so the counts come from sparse
+    coarsening (:mod:`repro.formats.coarsen`), as the planner and the
+    advisor's probes count them: ``1 x 2`` merges the sorted pattern's
+    column pairs, ``2 x 1`` counts ``R_2 @ A``, ``2 x 2`` and ``3 x 3``
+    group that product's (and ``R_3 @ A``'s) columns, and the diagonal
+    counts ``R_4 @ shifted``.  Each fill is the same integer ratio as the
+    BlockStats definition, so the two agree bit for bit.  A pattern past
+    the coarsening guard counts its blocks with BlockStats.
+    """
+    n = coo.nnz
+    if worth_coarsening(coo.nrows, coo.ncols, n):
+        row_ptr = np.zeros(coo.nrows + 1, dtype=np.int64)
+        np.cumsum(coo.row_counts(), out=row_ptr[1:])
+        pattern = pattern_csr(coo, row_ptr)
+        by_height = coarsen_rows(pattern, {2, 3})
+        diag = coarsen_rows(shifted_pattern(coo, row_ptr), {_DIAG_FILL})
+        blocks = [
+            merge_columns(pattern, 2).nnz,
+            by_height[2].nnz,
+            (by_height[2] @ column_groups(coo.ncols, 2)).nnz,
+            (by_height[3] @ column_groups(coo.ncols, 3)).nnz,
+            diag[_DIAG_FILL].nnz,
+        ]
+    else:
+        blocks = [bcsr_block_stats(coo, r, c).n_blocks for r, c in _RECT_FILLS]
+        blocks.append(bcsd_block_stats(coo, _DIAG_FILL).n_blocks)
+    elems = [r * c for r, c in _RECT_FILLS] + [_DIAG_FILL]
+    return [n / (b * e) if b else 1.0 for b, e in zip(blocks, elems)]
+
 
 def extract_features(
     coo: COOMatrix,
@@ -76,13 +123,6 @@ def extract_features(
     else:
         mean_run = 0.0
 
-    def fill(r: int, c: int) -> float:
-        stats = bcsr_block_stats(coo, r, c)
-        return stats.nnz / stats.nnz_stored if stats.n_blocks else 1.0
-
-    dstats = bcsd_block_stats(coo, 4)
-    diag_fill = dstats.nnz / dstats.nnz_stored if dstats.n_blocks else 1.0
-
     budget_bytes = x_budget_lines(
         machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
     ) * machine.l2.line_bytes
@@ -93,11 +133,7 @@ def extract_features(
         np.log10(max(mean_row, 1e-3)),
         row_cv,
         mean_run,
-        fill(1, 2),
-        fill(2, 1),
-        fill(2, 2),
-        fill(3, 3),
-        diag_fill,
+        *_block_fills(coo),
         x_ratio,
         np.log10(max(density, 1e-12)),
     ])

@@ -244,6 +244,9 @@ class BalancerRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-fleet/1.0"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY, as on the worker's handler (repro.serve.server): the
+    # body segment must not wait ~40 ms for a delayed ACK of the headers.
+    disable_nagle_algorithm = True
 
     @property
     def balancer(self) -> FleetBalancer:

@@ -175,6 +175,11 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
 
     server_version = "repro-advisor/1.1"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket.  A response leaves as two
+    # segments, the headers at end_headers() and then the body; with
+    # Nagle on, the body waits for the client's ACK of the headers, which
+    # a keep-alive client delays by ~40 ms.
+    disable_nagle_algorithm = True
 
     # The handler is instantiated per request; the service hangs off the
     # server object (see create_server).

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
+import time
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,22 @@ def make_random_coo(
     cols = r.integers(0, ncols, nnz)
     values = r.standard_normal(nnz) if with_values else None
     return COOMatrix(nrows, ncols, rows, cols, values)
+
+
+def keepalive_get_seconds(host: str, port: int, path: str, n: int = 40) -> float:
+    """Seconds that ``n`` GETs of ``path`` take over one keep-alive
+    ``http.client.HTTPConnection``, each answer read in full."""
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        t0 = time.perf_counter()
+        for _ in range(n):
+            conn.request("GET", path)
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+        return time.perf_counter() - t0
+    finally:
+        conn.close()
 
 
 @pytest.fixture()

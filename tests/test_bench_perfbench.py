@@ -88,3 +88,20 @@ def test_claimed_metric_beats_the_parent():
         assert parent["median"] - change["median"] > parent["iqr"]
     else:
         assert change["median"] - parent["median"] > parent["iqr"]
+
+
+def test_no_metric_worse_than_its_bound():
+    """The acceptance rule, next to the record it judges: on no workload
+    is an end-to-end metric's change median worse than the parent's by
+    more than its bound times the parent's median."""
+    worse = []
+    for workload, entry in BENCH["workloads"].items():
+        for metric, summary in entry["metrics"].items():
+            parent = summary["parent"]["median"]
+            change = summary["change"]["median"]
+            loss = change - parent
+            if END_TO_END[metric]["better"] == "higher":
+                loss = -loss
+            if loss > summary["bound"] * parent:
+                worse.append(f"{workload} {metric}: {parent:.4g} -> {change:.4g}")
+    assert not worse, worse

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from repro.engine.events import EventBus
 from repro.fleet import (
     BalancerRequestHandler,
     FleetBalancer,
@@ -24,6 +25,8 @@ from repro.fleet import (
 )
 from repro.fleet.replay import CHAOS_FAULT_PLAN, DEFAULT_MATRICES
 from repro.types import Precision
+
+from .conftest import keepalive_get_seconds
 
 
 @pytest.fixture(scope="session")
@@ -253,6 +256,32 @@ class TestLoadgenTables:
             on_midpoint=lambda: fired.append(1),
         )
         assert len(fired) == 1
+
+
+class _NoWorkers:
+    """A supervisor with no worker slots: all the balancer's /healthz reads."""
+
+    slots: list = []
+
+    def snapshot(self):
+        return []
+
+
+def test_balancer_keepalive_40_healthz_under_half_a_second():
+    # TCP_NODELAY on the balancer's accepted sockets: with Nagle on, each
+    # keep-alive answer's body waits ~40 ms for a delayed ACK of its headers.
+    balancer = FleetBalancer(
+        ("127.0.0.1", 0), BalancerRequestHandler, _NoWorkers(), bus=EventBus()
+    )
+    loop = threading.Thread(target=balancer.serve_forever, daemon=True)
+    loop.start()
+    try:
+        host, port = balancer.server_address[:2]
+        assert keepalive_get_seconds(host, port, "/healthz") < 0.5
+    finally:
+        balancer.shutdown()
+        balancer.server_close()
+        loop.join(timeout=5)
 
 
 @pytest.mark.slow

@@ -12,8 +12,29 @@ from repro.core.learned import (
 )
 from repro.core.selection import evaluate_candidates, select_with_model
 from repro.errors import ModelError
+from repro.formats import COOMatrix
+from repro.formats.blockstats import bcsd_block_stats, bcsr_block_stats
+from repro.formats.coarsen import worth_coarsening
 from repro.machine import CORE2_XEON
 from repro.matrices import generators as g
+
+FILL_FEATURES = ("fill_1x2", "fill_2x1", "fill_2x2", "fill_3x3", "diag_fill_4")
+
+
+def _blockstats_fills(coo):
+    """The five fills by the per-nonzero BlockStats definition."""
+    stats = [
+        bcsr_block_stats(coo, r, c) for r, c in ((1, 2), (2, 1), (2, 2), (3, 3))
+    ]
+    stats.append(bcsd_block_stats(coo, 4))
+    return [st.nnz / st.nnz_stored if st.n_blocks else 1.0 for st in stats]
+
+
+def _empty_rows(seed):
+    """Nonzeros only on every third row, in an odd number of rows."""
+    r = np.random.default_rng(seed)
+    rows = 3 * r.integers(0, 334, 3000)
+    return COOMatrix(1001, 700, rows, r.integers(0, 700, 3000), None)
 
 
 class TestFeatures:
@@ -34,6 +55,23 @@ class TestFeatures:
         feats = dict(zip(FEATURE_NAMES, extract_features(rnd, CORE2_XEON)))
         assert feats["fill_2x2"] < 0.35
         assert feats["mean_run_length"] < 1.2
+
+    @pytest.mark.parametrize("build, coarsened", [
+        (lambda: g.random_uniform(3000, 2500, 20_000, seed=1), True),
+        (lambda: g.banded_random(4001, 30_000, 25, seed=2), True),
+        (lambda: g.grid2d(21, 19, 9, dof=3, drop_fraction=0.2, seed=3), True),
+        (lambda: _empty_rows(4), True),
+        (lambda: g.random_uniform(800_000, 800_000, 10_000, seed=2), False),
+        (lambda: COOMatrix(5, 7, np.zeros(0, int), np.zeros(0, int)), False),
+    ], ids=["random", "banded", "fem", "empty_rows", "past_guard", "empty"])
+    def test_fills_equal_the_blockstats_definition(self, build, coarsened):
+        """The counted fills are the BlockStats ratios bit for bit, on
+        both sides of the coarsening guard."""
+        coo = build()
+        assert worth_coarsening(coo.nrows, coo.ncols, coo.nnz) == coarsened
+        feats = extract_features(coo, CORE2_XEON)
+        got = feats[[FEATURE_NAMES.index(name) for name in FILL_FEATURES]]
+        assert got.tobytes() == np.array(_blockstats_fills(coo)).tobytes()
 
     def test_x_footprint_ratio_scales_with_ncols(self):
         small = g.random_uniform(2000, 2000, 10_000, seed=2)

@@ -1,8 +1,11 @@
 """Tests for the advisor HTTP endpoint (stdlib http.server)."""
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,7 +15,7 @@ from repro.matrices.mmio import write_matrix_market
 from repro.serve.server import create_server
 from repro.serve.service import AdvisorService
 
-from .conftest import make_random_coo
+from .conftest import keepalive_get_seconds, make_random_coo
 
 
 @pytest.fixture()
@@ -235,6 +238,44 @@ class TestAdviseEndpoint:
         )})
         assert status == 400
         assert "1000000000000" in payload["error"]
+
+
+class TestKeepAlive:
+    """A keep-alive answer leaves without waiting for a delayed ACK.
+
+    The handler writes the headers and the body as two segments.  With
+    Nagle on, the body waits for the client's ACK of the headers, which a
+    keep-alive client delays by ~40 ms; TCP_NODELAY on the accepted
+    socket (``disable_nagle_algorithm``) sends it at once.
+    """
+
+    def test_40_healthz_under_half_a_second(self, server):
+        host, port = server.server_address[:2]
+        assert keepalive_get_seconds(host, port, "/healthz") < 0.5
+
+    def test_advise_transport_overhead_under_20ms(self, server):
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=60)
+        body = json.dumps({"suite": "dense"})
+
+        def overhead_s():
+            t0 = time.perf_counter()
+            conn.request(
+                "POST", "/advise", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            payload = json.loads(resp.read())
+            latency = time.perf_counter() - t0
+            assert resp.status == 200
+            return latency - payload["elapsed_s"]
+
+        try:
+            overhead_s()  # warming: evaluates and caches the answer
+            overheads = [overhead_s() for _ in range(10)]
+        finally:
+            conn.close()
+        assert statistics.median(overheads) < 0.020
 
 
 def _raw_request(server, request_bytes):
