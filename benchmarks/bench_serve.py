@@ -40,7 +40,6 @@ import json
 import os
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -92,11 +91,10 @@ def _drive_fleet(
     plan, cache_dir, *, workers, clients, allowed, kill_midway=False
 ):
     from repro.fleet import (
-        BalancerRequestHandler,
-        FleetBalancer,
         FleetConfig,
         FleetSupervisor,
         run_load,
+        serve_fleet,
         warm_fleet,
     )
 
@@ -107,13 +105,7 @@ def _drive_fleet(
         FleetConfig(workers=workers, cache_dir=cache_dir,
                     fault_plan=fault_plan)
     )
-    supervisor.start()
-    balancer = FleetBalancer(
-        ("127.0.0.1", 0), BalancerRequestHandler, supervisor
-    )
-    loop = threading.Thread(target=balancer.serve_forever, daemon=True)
-    loop.start()
-    try:
+    with serve_fleet(supervisor) as balancer:
         host, port = balancer.server_address[:2]
         base_url = f"http://{host}:{port}"
         warm_fleet(base_url, plan)
@@ -131,11 +123,6 @@ def _drive_fleet(
             s["restarts"] for s in supervisor.snapshot()
         )
         return table
-    finally:
-        balancer.shutdown()
-        balancer.server_close()
-        loop.join(timeout=5)
-        supervisor.shutdown()
 
 
 def run_bench(*, workers, requests, clients, chaos_requests) -> dict:

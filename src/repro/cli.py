@@ -36,8 +36,9 @@ each restriction is a separately-cached configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import sys
-import threading
 from pathlib import Path
 from typing import Sequence
 
@@ -571,9 +572,17 @@ def _lint_main(argv: Sequence[str]) -> int:
     return 1 if new else 0
 
 
-def _serve_main(argv: Sequence[str]) -> int:
-    import errno
+def _port_in_use(command: str, host: str, port: int) -> str:
+    """The one-line error ``repro serve`` and ``repro fleet`` print when
+    their port is taken."""
+    return (
+        f"error: port {port} on {host} is already in use "
+        f"— a stale 'repro {command}' process may still be listening; "
+        "stop it or pass a different --port (0 picks a free one)"
+    )
 
+
+def _serve_main(argv: Sequence[str]) -> int:
     from .durability.fsck import fsck_tree
     from .serve import server as server_mod
     from .serve.service import AdvisorService
@@ -642,12 +651,7 @@ def _serve_main(argv: Sequence[str]) -> int:
         )
     except OSError as exc:
         if exc.errno == errno.EADDRINUSE:
-            print(
-                f"error: port {args.port} on {args.host} is already in use "
-                "— a stale 'repro serve' process may still be listening; "
-                "stop it or pass a different --port (0 picks a free one)",
-                file=sys.stderr,
-            )
+            print(_port_in_use("serve", args.host, args.port), file=sys.stderr)
             return 1
         raise
     host, port = server.server_address[0], server.server_address[1]
@@ -775,14 +779,8 @@ def _build_fleet_parser() -> argparse.ArgumentParser:
 
 
 def _fleet_main(argv: Sequence[str]) -> int:
-    import signal
-
-    from .fleet import (
-        BalancerRequestHandler,
-        FleetBalancer,
-        FleetConfig,
-        FleetSupervisor,
-    )
+    from .fleet import FleetConfig, FleetSupervisor, serve_fleet
+    from .serve.server import stop_signals
 
     args = _build_fleet_parser().parse_args(argv)
     try:
@@ -812,43 +810,26 @@ def _fleet_main(argv: Sequence[str]) -> int:
         flush=True,
     )
     try:
-        supervisor.start()
-    except RuntimeError as exc:
+        with stop_signals() as stop, serve_fleet(
+            supervisor, args.host, args.port
+        ) as balancer:
+            host, port = balancer.server_address[:2]
+            print(
+                f"fleet balancer listening on http://{host}:{port}"
+                f"  ({args.workers} workers; POST /advise, GET /healthz, "
+                "/readyz, /stats)",
+                flush=True,
+            )
+            stop.wait()
+    except OSError as exc:
+        if exc.errno == errno.EADDRINUSE:
+            print(_port_in_use("fleet", args.host, args.port), file=sys.stderr)
+            return 1
+        raise
+    except RuntimeError as exc:  # a worker never became ready
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    balancer = FleetBalancer(
-        (args.host, args.port), BalancerRequestHandler, supervisor
-    )
-    host, port = balancer.server_address[0], balancer.server_address[1]
-    print(
-        f"fleet balancer listening on http://{host}:{port}"
-        f"  ({args.workers} workers; POST /advise, GET /healthz, /readyz, "
-        "/stats)",
-        flush=True,
-    )
-
-    stop = threading.Event()
-    installed: dict[int, object] = {}
-    if threading.current_thread() is threading.main_thread():
-        def _request_stop(signum, frame):  # noqa: ARG001 - signal signature
-            stop.set()
-
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            installed[sig] = signal.signal(sig, _request_stop)
-    loop = threading.Thread(target=balancer.serve_forever, daemon=True)
-    loop.start()
-    try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        balancer.shutdown()
-        balancer.server_close()
-        loop.join(timeout=5)
-        clean = supervisor.shutdown()
-        for sig, old in installed.items():
-            signal.signal(sig, old)
-    return 0 if clean else 1
+    return 0 if balancer.drained_clean else 1
 
 
 def _build_loadtest_parser() -> argparse.ArgumentParser:
@@ -918,13 +899,12 @@ def _loadtest_main(argv: Sequence[str]) -> int:
     import json as _json
 
     from .fleet import (
-        BalancerRequestHandler,
-        FleetBalancer,
         FleetConfig,
         FleetSupervisor,
         WorkerProcess,
         build_plan,
         run_load,
+        serve_fleet,
         warm_fleet,
     )
 
@@ -943,15 +923,12 @@ def _loadtest_main(argv: Sequence[str]) -> int:
     # else — connection resets included — is a violation.
     allowed = (200, 503, 504) if args.mix == "chaos" else (200,)
 
-    supervisor = None
-    balancer = None
-    single = None
-    loop = None
-    try:
+    with contextlib.ExitStack() as stack:
         if args.single:
             single = WorkerProcess(
                 0, cache_dir=args.cache_dir, fault_plan=fault_plan
             )
+            stack.callback(single.stop)
             single.spawn()
             if not single.wait_ready(300.0):
                 print("error: worker never became ready", file=sys.stderr)
@@ -966,22 +943,14 @@ def _loadtest_main(argv: Sequence[str]) -> int:
                 fault_plan=fault_plan,
             )
             supervisor = FleetSupervisor(config)
-            supervisor.start()
-            balancer = FleetBalancer(
-                ("127.0.0.1", 0), BalancerRequestHandler, supervisor
-            )
-            loop = threading.Thread(
-                target=balancer.serve_forever, daemon=True
-            )
-            loop.start()
+            balancer = stack.enter_context(serve_fleet(supervisor))
             host, port = balancer.server_address[:2]
             base_url = f"http://{host}:{port}"
             workers = args.workers
             victim = args.seed % args.workers
-            sup = supervisor
 
             def on_midpoint() -> None:
-                sup.kill_worker(victim)
+                supervisor.kill_worker(victim)
             if plan.kill_worker_at is None:
                 on_midpoint = None
         print(
@@ -1002,16 +971,6 @@ def _loadtest_main(argv: Sequence[str]) -> int:
         )
         table["workers"] = workers
         table["single"] = bool(args.single)
-    finally:
-        if balancer is not None:
-            balancer.shutdown()
-            balancer.server_close()
-            if loop is not None:
-                loop.join(timeout=5)
-        if supervisor is not None:
-            supervisor.shutdown()
-        if single is not None:
-            single.stop()
     print(_json.dumps(table, indent=2))
     if args.output is not None:
         Path(args.output).write_text(

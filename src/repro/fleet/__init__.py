@@ -9,7 +9,9 @@ N times behind a content-sharded balancer:
 * :mod:`repro.fleet.supervisor` — slot ownership, crash-restart with
   backoff, warm-replica handoff, graceful whole-fleet drain;
 * :mod:`repro.fleet.balancer` — fingerprint-sharded routing with
-  retry-on-next-worker and fan-in ``/stats`` aggregation;
+  retry-on-next-worker, fan-in ``/stats`` aggregation, and
+  :func:`serve_fleet`, the one start/stop lifecycle (bind, spawn, serve;
+  stop serving, drain);
 * :mod:`repro.fleet.replay` / :mod:`repro.fleet.loadgen` — deterministic
   seeded traffic plans (steady / skew / flood / chaos) and the
   closed-loop generator that replays them over real sockets.
@@ -22,9 +24,9 @@ notes live in ``docs/serving.md``.
 from .balancer import (
     BalancerRequestHandler,
     FleetBalancer,
-    create_balancer,
     merge_stats,
     routing_fingerprint,
+    serve_fleet,
     shard_for,
 )
 from .loadgen import percentile, post_advise, run_load, warm_fleet
@@ -42,9 +44,9 @@ from .worker import WorkerProcess, probe_ready, wait_until_ready
 __all__ = [
     "BalancerRequestHandler",
     "FleetBalancer",
-    "create_balancer",
     "merge_stats",
     "routing_fingerprint",
+    "serve_fleet",
     "shard_for",
     "percentile",
     "post_advise",

@@ -22,20 +22,28 @@ and routes every request to one of the supervisor's worker slots:
   to 503 while requests still succeed via shard failover).
 
 The balancer holds no recommendation state of its own — restarting it
-loses nothing but the routing counters.
+loses nothing but the routing counters.  Its handler keeps only these
+routes: the HTTP plumbing (framing, error answers, the bounded body read,
+the JSON-500 catch-all) is :class:`repro.serve.server.JSONRequestHandler`,
+shared with every worker.  :func:`serve_fleet` is the fleet's one
+start/stop lifecycle.
 """
 
 from __future__ import annotations
 
+import contextlib
 import http.client
-import json
-import logging
 import threading
 from hashlib import sha256
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
+from typing import Iterator
 
 from ..engine.events import EventBus
-from ..serve.server import DEFAULT_MAX_BODY_BYTES, RETRY_AFTER_S
+from ..serve.server import (
+    DEFAULT_MAX_BODY_BYTES,
+    RETRY_AFTER_S,
+    JSONRequestHandler,
+)
 from .supervisor import FleetSupervisor
 
 __all__ = [
@@ -44,10 +52,8 @@ __all__ = [
     "merge_stats",
     "FleetBalancer",
     "BalancerRequestHandler",
-    "create_balancer",
+    "serve_fleet",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Socket timeout for one proxied worker request (generous: a cold advise
 #: against a large suite matrix can take seconds).
@@ -59,61 +65,9 @@ BREAKER_SEVERITY = {"closed": 0, "half_open": 1, "open": 2}
 
 #: Counter keys of a worker /stats snapshot that merge by summation.
 SUMMED_COUNTERS = (
-    "requests", "cache_hits", "cache_misses", "errors", "timeouts",
-    "batches", "degraded", "cache_entries",
+    "requests", "cache_hits", "cache_misses", "errors", "degraded",
+    "cache_entries",
 )
-
-#: Counter keys of a worker's ``learn`` /stats block that merge by
-#: summation (the shadow sub-block has its own summed keys below).
-LEARN_SUMMED = ("trace_records", "trace_segments", "model_swaps")
-SHADOW_SUMMED = (
-    "observed", "agreed", "holdout_observed", "holdout_agreed", "window",
-)
-
-
-def _merge_learn(learn_blocks: list[dict]) -> dict:
-    """Fleet-wide ``learn`` view: counters summed, gap recomputed from the
-    pooled holdout tallies, drift-breaker state worst-of across workers,
-    model versions collected (one entry per distinct version — a fleet
-    mid-rollout legitimately shows more than one)."""
-    merged: dict = {"enabled": True}
-    for key in LEARN_SUMMED:
-        merged[key] = sum(b.get(key, 0) for b in learn_blocks)
-    modes: dict[str, int] = {}
-    shadow: dict = {key: 0 for key in SHADOW_SUMMED}
-    versions: list[str] = []
-    breaker: dict | None = None
-    for block in learn_blocks:
-        for mode, count in block.get("modes", {}).items():
-            modes[mode] = modes.get(mode, 0) + count
-        for key in SHADOW_SUMMED:
-            shadow[key] += block.get("shadow", {}).get(key) or 0
-        version = block.get("model_version")
-        if version is not None and version not in versions:
-            versions.append(version)
-        snap = block.get("drift_breaker")
-        if snap is not None:
-            if breaker is None:
-                breaker = dict(snap)
-            else:
-                if BREAKER_SEVERITY.get(
-                    snap.get("state"), 0
-                ) > BREAKER_SEVERITY.get(breaker.get("state"), 0):
-                    breaker["state"] = snap.get("state")
-                breaker["consecutive_failures"] = max(
-                    breaker.get("consecutive_failures", 0),
-                    snap.get("consecutive_failures", 0),
-                )
-    observed = shadow["holdout_observed"]
-    shadow["gap"] = (
-        1.0 - shadow["holdout_agreed"] / observed if observed else None
-    )
-    merged["modes"] = modes
-    merged["shadow"] = shadow
-    merged["model_versions"] = sorted(versions)
-    if breaker is not None:
-        merged["drift_breaker"] = breaker
-    return merged
 
 
 def routing_fingerprint(request: dict) -> str | None:
@@ -148,10 +102,7 @@ def merge_stats(worker_stats: list[dict]) -> dict:
     request count; per-precision breaker states take the *worst* state
     (and the max failure count) across workers, so one open breaker
     anywhere is visible at the fleet level instead of being overwritten
-    by the healthy majority.  Learn blocks (when any worker has learning
-    enabled) merge the same way: tallies summed, the shadow gap recomputed
-    from the pooled holdout counts, the drift breaker worst-of (see
-    :func:`_merge_learn`).
+    by the healthy majority.
     """
     merged: dict = {key: 0 for key in SUMMED_COUNTERS}
     weighted_latency = 0.0
@@ -189,14 +140,6 @@ def merge_stats(worker_stats: list[dict]) -> dict:
     )
     merged["machine"] = machines[0] if len(machines) == 1 else machines
     merged["resilience"] = {"events": events, "breakers": breakers}
-    learn_blocks = [
-        stats["learn"]
-        for stats in worker_stats
-        if stats.get("learn", {}).get("enabled")
-    ]
-    merged["learn"] = (
-        _merge_learn(learn_blocks) if learn_blocks else {"enabled": False}
-    )
     return merged
 
 
@@ -237,52 +180,21 @@ class FleetBalancer(ThreadingHTTPServer):
         self.max_body_bytes = max_body_bytes
         self.proxy_timeout_s = proxy_timeout_s
         self.routes = _RouteCounter()
+        #: Whether every worker drained cleanly; set when
+        #: :func:`serve_fleet` exits.
+        self.drained_clean: bool | None = None
 
 
-class BalancerRequestHandler(BaseHTTPRequestHandler):
+class BalancerRequestHandler(JSONRequestHandler):
     """Routes /advise by shard; aggregates /stats; reports fleet health."""
 
     server_version = "repro-fleet/1.0"
-    protocol_version = "HTTP/1.1"
-    # TCP_NODELAY, as on the worker's handler (repro.serve.server): the
-    # body segment must not wait ~40 ms for a delayed ACK of the headers.
-    disable_nagle_algorithm = True
 
     @property
     def balancer(self) -> FleetBalancer:
         return self.server  # type: ignore[return-value]
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        logger.debug("%s - %s", self.address_string(), format % args)
-
-    # ------------------------------ helpers ----------------------------- #
-    def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
-    ) -> None:
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(
-        self, status: int, message: str, headers: dict | None = None
-    ) -> None:
-        self.close_connection = True
-        self._send_json(status, {"error": message}, headers)
-
     # ------------------------------- GET -------------------------------- #
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        try:
-            self._handle_get()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:  # noqa: BLE001 - catch-all: JSON 500
-            self._internal_error("GET", exc)
-
     def _handle_get(self) -> None:
         supervisor = self.balancer.supervisor
         if self.path == "/healthz":
@@ -328,57 +240,14 @@ class BalancerRequestHandler(BaseHTTPRequestHandler):
         return merged
 
     # ------------------------------- POST ------------------------------- #
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+    def _handle_post(self) -> None:
         if self.path != "/advise":
             self._error(404, f"unknown path {self.path!r}")
             return
-        try:
-            self._handle_advise()
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:  # noqa: BLE001 - catch-all: JSON 500
-            self._internal_error("POST", exc)
-
-    def _internal_error(self, method: str, exc: Exception) -> None:
-        logger.exception("unhandled error routing %s %s", method, self.path)
-        try:
-            self._error(
-                500, f"internal balancer error: {type(exc).__name__}: {exc}"
-            )
-        except OSError:
-            pass
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` after answering an error."""
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return None
-        if length > self.balancer.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the limit of "
-                f"{self.balancer.max_body_bytes} bytes",
-            )
-            return None
-        if length <= 0:
-            self._error(400, "missing request body")
-            return None
-        return self.rfile.read(length)
-
-    def _handle_advise(self) -> None:
-        body = self._read_body()
-        if body is None:
+        read = self._read_json()
+        if read is None:
             return
-        try:
-            request = json.loads(body)
-        except json.JSONDecodeError as exc:
-            self._error(400, f"request body is not valid JSON: {exc}")
-            return
-        if not isinstance(request, dict):
-            self._error(400, "request body must be a JSON object")
-            return
+        body, request = read
         fingerprint = routing_fingerprint(request)
         if fingerprint is None:
             self._error(
@@ -420,7 +289,7 @@ class BalancerRequestHandler(BaseHTTPRequestHandler):
                 # Error relays close the connection, same as the worker's
                 # own error path, to keep keep-alive framing simple.
                 self.close_connection = True
-            self._send_json_bytes(status, payload, headers)
+            self._send_json(status, payload, headers)
             return
         self.balancer.routes.bump("unroutable")
         self._error(
@@ -428,17 +297,6 @@ class BalancerRequestHandler(BaseHTTPRequestHandler):
             "no fleet worker is available; retry later",
             headers={"Retry-After": str(RETRY_AFTER_S)},
         )
-
-    def _send_json_bytes(
-        self, status: int, body: bytes, headers: dict | None = None
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
 
     def _proxy(self, base_url: str, body: bytes) -> tuple[int, bytes]:
         """One worker round trip; returns (status, response body)."""
@@ -460,13 +318,32 @@ class BalancerRequestHandler(BaseHTTPRequestHandler):
             conn.close()
 
 
-def create_balancer(
-    supervisor: FleetSupervisor,
-    host: str = "127.0.0.1",
-    port: int = 8077,
-    **kwargs,
-) -> FleetBalancer:
-    """A ready-to-run balancer; ``port=0`` binds an ephemeral port."""
-    return FleetBalancer(
-        (host, port), BalancerRequestHandler, supervisor, **kwargs
+@contextlib.contextmanager
+def serve_fleet(
+    supervisor: FleetSupervisor, host: str = "127.0.0.1", port: int = 0
+) -> Iterator[FleetBalancer]:
+    """The fleet's one start/stop lifecycle; yields the serving balancer.
+
+    The balancer binds first, so a busy port raises ``OSError`` before any
+    worker is spawned.  Then the supervisor starts every worker and the
+    balancer serves on a thread.  On exit the balancer stops serving, then
+    the supervisor drains the workers; ``drained_clean`` records whether
+    every one exited cleanly.  ``port=0`` binds an ephemeral port.
+    """
+    balancer = FleetBalancer(
+        (host, port), BalancerRequestHandler, supervisor
     )
+    try:
+        supervisor.start()
+    except BaseException:
+        balancer.server_close()
+        raise
+    loop = threading.Thread(target=balancer.serve_forever, daemon=True)
+    loop.start()
+    try:
+        yield balancer
+    finally:
+        balancer.shutdown()
+        balancer.server_close()
+        loop.join(timeout=5)
+        balancer.drained_clean = supervisor.shutdown()

@@ -14,10 +14,10 @@ wraps that decision in a service surface:
 * :mod:`repro.serve.store` — an atomic, fingerprint-keyed recommendation
   cache under ``.repro_cache/advisor/``, versioned by the machine-profile
   calibration so stale profiles invalidate entries;
-* :mod:`repro.serve.service` — the thread-safe :class:`AdvisorService`
-  with a concurrent ``advise_many`` batch API;
+* :mod:`repro.serve.service` — the thread-safe :class:`AdvisorService`;
 * :mod:`repro.serve.server` — a stdlib ``http.server`` JSON endpoint
-  (``POST /advise``, ``GET /healthz``, ``GET /stats``).
+  (``POST /advise``, ``GET /healthz``, ``GET /readyz``, ``GET /stats``)
+  whose request plumbing the fleet balancer shares.
 
 CLI: ``python -m repro advise <matrix.mtx|suite-name>`` and
 ``python -m repro serve --port N``.
@@ -25,7 +25,7 @@ CLI: ``python -m repro advise <matrix.mtx|suite-name>`` and
 
 from .features import MatrixFeatures, extract_features, matrix_fingerprint
 from .pruning import PruneConfig, PruneDecision, prune_candidates
-from .service import AdviseError, AdvisorService, Recommendation
+from .service import AdvisorService, Recommendation
 from .store import AdvisorStore
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "PruneDecision",
     "prune_candidates",
     "AdvisorService",
-    "AdviseError",
     "Recommendation",
     "AdvisorStore",
 ]

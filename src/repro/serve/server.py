@@ -18,7 +18,9 @@ A deliberately small ``http.server`` wrapper — no third-party web framework
 
 :class:`ThreadingHTTPServer` gives one thread per connection; the service
 underneath is thread-safe, so concurrent ``POST /advise`` requests are
-supported out of the box.  On top of that the server is hardened for
+supported out of the box.  The HTTP plumbing (framing, error answers, the
+bounded body read, the catch-all) is :class:`JSONRequestHandler`, which the
+fleet balancer's handler shares.  On top of that the server is hardened for
 production traffic (see ``docs/resilience.md``):
 
 * **bounded admission** — at most ``max_inflight`` concurrent ``/advise``
@@ -41,11 +43,15 @@ production traffic (see ``docs/resilience.md``):
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Iterator
 
 from ..errors import (
     DeadlineExceededError,
@@ -59,11 +65,11 @@ from .service import AdvisorService
 __all__ = [
     "create_server",
     "run_server",
-    "serve_forever",
+    "stop_signals",
     "AdvisorHTTPServer",
     "AdvisorRequestHandler",
+    "JSONRequestHandler",
     "DEFAULT_MAX_BODY_BYTES",
-    "MAX_BODY_BYTES",
     "DEFAULT_MAX_INFLIGHT",
     "DEFAULT_DRAIN_TIMEOUT_S",
 ]
@@ -80,9 +86,6 @@ DEFAULT_MAX_INFLIGHT = 8
 DEFAULT_DRAIN_TIMEOUT_S = 10.0
 #: Seconds a shed client is told to wait before retrying.
 RETRY_AFTER_S = 1
-
-#: Backwards-compatible alias (pre-1.1 name for the body ceiling).
-MAX_BODY_BYTES = DEFAULT_MAX_BODY_BYTES
 
 
 class AdvisorHTTPServer(ThreadingHTTPServer):
@@ -170,10 +173,14 @@ class AdvisorHTTPServer(ThreadingHTTPServer):
         return clean
 
 
-class AdvisorRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests to the server's attached :class:`AdvisorService`."""
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 JSON plumbing shared by the advisor and the fleet balancer.
 
-    server_version = "repro-advisor/1.1"
+    A subclass implements ``_handle_get`` and ``_handle_post`` (its routes)
+    and serves from a server carrying ``max_body_bytes``.  The response
+    framing, error answers, bounded body read and catch-all live here once.
+    """
+
     protocol_version = "HTTP/1.1"
     # TCP_NODELAY on each accepted socket.  A response leaves as two
     # segments, the headers at end_headers() and then the body; with
@@ -181,20 +188,19 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
     # a keep-alive client delays by ~40 ms.
     disable_nagle_algorithm = True
 
-    # The handler is instantiated per request; the service hangs off the
-    # server object (see create_server).
-    @property
-    def service(self) -> AdvisorService:
-        return self.server.service  # type: ignore[attr-defined]
-
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         logger.debug("%s - %s", self.address_string(), format % args)
 
     # ------------------------------ helpers ----------------------------- #
     def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
+        self, status: int, payload: dict | bytes, headers: dict | None = None
     ) -> None:
-        body = json.dumps(payload).encode()
+        """Answer with ``payload``: a dict, or bytes already encoded (the
+        balancer relays a worker's answer unchanged)."""
+        body = (
+            payload if isinstance(payload, bytes)
+            else json.dumps(payload).encode()
+        )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -212,15 +218,83 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
         self.close_connection = True
         self._send_json(status, {"error": message}, headers)
 
-    # ------------------------------- GET -------------------------------- #
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+    def _read_json(self) -> tuple[bytes, dict] | None:
+        """The request body as raw bytes and as a JSON object, or ``None``
+        after answering the error.
+
+        The declared length is checked before any byte is read, so an
+        oversized claim is refused from the header alone.
+        """
+        limit = self.server.max_body_bytes  # type: ignore[attr-defined]
         try:
-            self._handle_get()
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            self._error(400, "bad Content-Length")
+            return None
+        if length > limit:
+            self._error(
+                413,
+                f"request body of {length} bytes exceeds the limit of "
+                f"{limit} bytes",
+            )
+            return None
+        if length <= 0:
+            self._error(400, "missing request body")
+            return None
+        body = self.rfile.read(length)
+        try:
+            request = json.loads(body)
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+            self._error(400, f"request body is not valid JSON: {exc}")
+            return None
+        if not isinstance(request, dict):
+            self._error(400, "request body must be a JSON object")
+            return None
+        return body, request
+
+    # ----------------------------- dispatch ----------------------------- #
+    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+        self._guarded(self._handle_get)
+
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        self._guarded(self._handle_post)
+
+    def _handle_get(self) -> None:
+        raise NotImplementedError
+
+    def _handle_post(self) -> None:
+        raise NotImplementedError
+
+    def _guarded(self, handle) -> None:
+        """Run one route; an unexpected exception becomes a JSON 500."""
+        try:
+            handle()
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client hung up; nothing to answer
         except Exception as exc:  # noqa: BLE001 - catch-all: JSON 500
-            self._internal_error("GET", exc)
+            logger.exception(
+                "unhandled error serving %s %s", self.command, self.path
+            )
+            try:
+                self._error(
+                    500, f"internal server error: {type(exc).__name__}: {exc}"
+                )
+            except OSError:
+                pass  # headers already gone or socket dead; logged above
 
+
+class AdvisorRequestHandler(JSONRequestHandler):
+    """Routes requests to the server's attached :class:`AdvisorService`."""
+
+    server_version = "repro-advisor/1.1"
+
+    # The handler is instantiated per request; the service hangs off the
+    # server object (see create_server).
+    @property
+    def service(self) -> AdvisorService:
+        return self.server.service  # type: ignore[attr-defined]
+
+    # ------------------------------- GET -------------------------------- #
     def _handle_get(self) -> None:
         if self.path == "/healthz":
             draining = self.server.draining  # type: ignore[attr-defined]
@@ -244,7 +318,7 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
             self._error(404, f"unknown path {self.path!r}")
 
     # ------------------------------- POST ------------------------------- #
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+    def _handle_post(self) -> None:
         if self.path != "/advise":
             self._error(404, f"unknown path {self.path!r}")
             return
@@ -263,49 +337,15 @@ class AdvisorRequestHandler(BaseHTTPRequestHandler):
             return
         try:
             self._handle_advise(server)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # the client hung up; nothing to answer
-        except Exception as exc:  # noqa: BLE001 - catch-all: JSON 500
-            self._internal_error("POST", exc)
         finally:
             server.release()
 
-    def _internal_error(self, method: str, exc: Exception) -> None:
-        """Last-resort handler: log the traceback, try to answer 500."""
-        logger.exception("unhandled error serving %s %s", method, self.path)
-        try:
-            self._error(
-                500, f"internal server error: {type(exc).__name__}: {exc}"
-            )
-        except OSError:
-            pass  # headers already gone or socket dead; logged above
-
     def _handle_advise(self, server: AdvisorHTTPServer) -> None:
         fault_point("serve.server.request")
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            self._error(400, "bad Content-Length")
+        read = self._read_json()
+        if read is None:
             return
-        if length > server.max_body_bytes:
-            self._error(
-                413,
-                f"request body of {length} bytes exceeds the limit of "
-                f"{server.max_body_bytes} bytes",
-            )
-            return
-        if length <= 0:
-            self._error(400, "missing request body")
-            return
-        try:
-            request = json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
-            self._error(400, f"request body is not valid JSON: {exc}")
-            return
-        if not isinstance(request, dict):
-            self._error(400, "request body must be a JSON object")
-            return
-
+        _, request = read
         try:
             matrix = self._resolve(request)
             timeout_s = self._timeout_for(request, server)
@@ -415,17 +455,16 @@ def create_server(
     )
 
 
-def run_server(server: AdvisorHTTPServer) -> bool:
-    """Serve until SIGTERM/SIGINT, then drain gracefully.
+@contextlib.contextmanager
+def stop_signals() -> Iterator[threading.Event]:
+    """An event that SIGTERM and SIGINT set while the with-block runs.
 
-    The accept loop runs in a background thread while the calling thread
-    waits for a stop signal, so ``server.drain()`` (which blocks on
-    ``shutdown()``) can run safely from here.  Returns True for a clean
-    drain.  Signal handlers are installed only when running in the main
-    thread (tests call ``server.drain()`` directly instead).
+    ``repro serve`` and ``repro fleet`` wait on it and shut down inside the
+    block, so the handlers stay installed through the drain: a second
+    signal cannot cut it short.  They are installed only on the main
+    thread (tests drain their servers directly instead) and restored on
+    exit.
     """
-    import signal
-
     stop = threading.Event()
     installed_handlers: dict[int, object] = {}
     if threading.current_thread() is threading.main_thread():
@@ -434,42 +473,32 @@ def run_server(server: AdvisorHTTPServer) -> bool:
 
         for sig in (signal.SIGTERM, signal.SIGINT):
             installed_handlers[sig] = signal.signal(sig, _request_stop)
-
-    loop = threading.Thread(target=server.serve_forever, daemon=True)
-    loop.start()
     try:
-        stop.wait()
-    except KeyboardInterrupt:
-        pass
+        yield stop
     finally:
+        for sig, old in installed_handlers.items():
+            signal.signal(sig, old)
+
+
+def run_server(server: AdvisorHTTPServer) -> bool:
+    """Serve until SIGTERM/SIGINT, then drain gracefully.
+
+    The accept loop runs in a background thread while the calling thread
+    waits for a stop signal, so ``server.drain()`` (which blocks on
+    ``shutdown()``) can run safely from here.  Returns True for a clean
+    drain.
+    """
+    with stop_signals() as stop:
+        loop = threading.Thread(target=server.serve_forever, daemon=True)
+        loop.start()
+        stop.wait()
         clean = server.drain()
         server.server_close()
         loop.join(timeout=5)
         # Flush the final stats snapshot where log collectors will see it.
         print(
             json.dumps({"final_stats": server.service.stats()}),
-            file=__import__("sys").stderr,
+            file=sys.stderr,
             flush=True,
         )
-        import signal as _signal
-
-        for sig, old in installed_handlers.items():
-            _signal.signal(sig, old)
     return clean
-
-
-def serve_forever(
-    service: AdvisorService,
-    host: str = "127.0.0.1",
-    port: int = 8077,
-    **server_kwargs,
-) -> bool:
-    """Create a server, announce the bound address, serve until signalled."""
-    server = create_server(service, host, port, **server_kwargs)
-    addr = f"http://{server.server_address[0]}:{server.server_address[1]}"
-    print(
-        f"advisor listening on {addr}"
-        "  (POST /advise, GET /healthz, /readyz, /stats)",
-        flush=True,
-    )
-    return run_server(server)

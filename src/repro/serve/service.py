@@ -13,9 +13,6 @@ concurrent, cached service:
 * **cache** — recommendations persist in the fingerprint-keyed
   :class:`~repro.serve.store.AdvisorStore`, versioned by the profile
   calibration, so a repeated matrix is answered without touching a model;
-* **batch** — :meth:`AdvisorService.advise_many` evaluates many matrices on
-  a thread pool with per-request error isolation and timeout: one bad
-  matrix yields one :class:`AdviseError` entry, never a failed batch;
 * **learn** — with a :class:`~repro.learn.LearnConfig` the service drives
   the online training loop (:mod:`repro.learn`): every answered request is
   trace-logged and shadow-compared, published models guide the candidate
@@ -28,8 +25,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -42,7 +37,7 @@ from ..core.models import MODELS, PerformanceModel
 from ..core.profiling import ProfileCache, ProfileStore
 from ..durability.report import set_durability_listener
 from ..engine.events import EventBus
-from ..errors import ModelError, ReproError, ServiceUnavailableError
+from ..errors import ModelError, ServiceUnavailableError
 from ..formats.coo import COOMatrix
 from ..machine.batch import MatrixProgram
 from ..machine.machine import MachineModel
@@ -58,7 +53,6 @@ __all__ = [
     "AdviseOptions",
     "RankedCandidate",
     "Recommendation",
-    "AdviseError",
     "AdvisorService",
     "resolve_matrix",
 ]
@@ -240,15 +234,6 @@ class Recommendation:
         )
 
 
-@dataclass
-class AdviseError:
-    """A failed (or timed-out) request in a batch — never an exception."""
-
-    error: str
-    kind: str = "error"  # "error" | "timeout"
-    elapsed_s: float = 0.0
-
-
 class _EventCounter:
     """Bus reporter that tallies resilience events for ``GET /stats``."""
 
@@ -267,7 +252,7 @@ class _EventCounter:
 
 
 class AdvisorService:
-    """Thread-safe advise/advise_many over one machine model.
+    """Thread-safe advise over one machine model.
 
     >>> service = AdvisorService()
     >>> rec = service.advise("dense")
@@ -321,8 +306,6 @@ class AdvisorService:
             "cache_hits": 0,
             "cache_misses": 0,
             "errors": 0,
-            "timeouts": 0,
-            "batches": 0,
             "degraded": 0,
         }
         self._latency_total_s = 0.0
@@ -659,65 +642,6 @@ class AdvisorService:
                 error_type=info.get("error_type"),
                 quarantined=info.get("quarantined"),
             )
-
-    # --------------------------- batch advise --------------------------- #
-    def advise_many(
-        self,
-        matrices: Sequence[COOMatrix | str | int | Path],
-        *,
-        max_workers: int = 2,
-        timeout_s: float | None = None,
-        **options,
-    ) -> list[Recommendation | AdviseError]:
-        """Advise a batch concurrently; errors and timeouts are isolated.
-
-        Returns one entry per input, in input order: a
-        :class:`Recommendation` on success, an :class:`AdviseError`
-        otherwise.  ``timeout_s`` bounds each request's wait measured from
-        batch start; a timed-out worker keeps running in the background but
-        its slot reports ``kind="timeout"``.
-        """
-        self._bump("batches")
-        t0 = time.perf_counter()
-
-        def worker(m):
-            try:
-                return self.advise(m, **options)
-            except ReproError as exc:
-                self._bump("errors")
-                return AdviseError(
-                    error=f"{type(exc).__name__}: {exc}",
-                    elapsed_s=time.perf_counter() - t0,
-                )
-
-        out: list[Recommendation | AdviseError] = []
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(worker, m) for m in matrices]
-            for future in futures:
-                remaining = None
-                if timeout_s is not None:
-                    remaining = max(0.0, timeout_s - (time.perf_counter() - t0))
-                try:
-                    out.append(future.result(timeout=remaining))
-                except FutureTimeoutError:
-                    self._bump("timeouts")
-                    future.cancel()
-                    out.append(
-                        AdviseError(
-                            error=f"timed out after {timeout_s:.1f}s",
-                            kind="timeout",
-                            elapsed_s=time.perf_counter() - t0,
-                        )
-                    )
-                except Exception as exc:  # non-Repro errors stay isolated too
-                    self._bump("errors")
-                    out.append(
-                        AdviseError(
-                            error=f"{type(exc).__name__}: {exc}",
-                            elapsed_s=time.perf_counter() - t0,
-                        )
-                    )
-        return out
 
     # ------------------------------ stats ------------------------------ #
     def _bump(self, counter: str) -> None:

@@ -1,12 +1,23 @@
 """Tests for repro.fleet: replay determinism, sharded routing, stats
-fan-in, and the live multi-process fleet (supervisor + balancer)."""
+fan-in, the error contract the balancer shares with the advisor server,
+and the live multi-process fleet (supervisor + balancer, and
+``repro fleet`` itself)."""
 
 from __future__ import annotations
 
 import json
+import os
+import shutil
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -16,14 +27,19 @@ from repro.fleet import (
     FleetBalancer,
     FleetConfig,
     FleetSupervisor,
+    WorkerSlot,
     build_plan,
     merge_stats,
     percentile,
     routing_fingerprint,
     run_load,
+    serve_fleet,
     shard_for,
 )
+from repro.fleet import balancer as balancer_mod
 from repro.fleet.replay import CHAOS_FAULT_PLAN, DEFAULT_MATRICES
+from repro.serve.server import AdvisorRequestHandler, create_server
+from repro.serve.service import AdvisorService
 from repro.types import Precision
 
 from .conftest import keepalive_get_seconds
@@ -148,19 +164,19 @@ class TestMergeStats:
     def test_counters_sum_and_latency_weights(self):
         merged = merge_stats([
             {"requests": 10, "cache_hits": 4, "cache_misses": 6,
-             "errors": 1, "timeouts": 0, "batches": 0, "degraded": 0,
+             "errors": 1, "degraded": 0,
              "cache_entries": 6, "mean_latency_s": 0.1, "machine": "m",
              "resilience": {"events": {"request_shed": 1},
                             "breakers": {}}},
             {"requests": 30, "cache_hits": 20, "cache_misses": 10,
-             "errors": 0, "timeouts": 2, "batches": 0, "degraded": 1,
+             "errors": 2, "degraded": 1,
              "cache_entries": 10, "mean_latency_s": 0.3, "machine": "m",
              "resilience": {"events": {"request_shed": 2},
                             "breakers": {}}},
         ])
         assert merged["requests"] == 40
         assert merged["cache_hits"] == 24
-        assert merged["timeouts"] == 2
+        assert merged["errors"] == 3
         assert merged["cache_entries"] == 16
         assert merged["mean_latency_s"] == pytest.approx(0.25)
         assert merged["machine"] == "m"
@@ -259,12 +275,14 @@ class TestLoadgenTables:
 
 
 class _NoWorkers:
-    """A supervisor with no worker slots: all the balancer's /healthz reads."""
+    """A stub supervisor: one slot with no worker behind it, so nothing is
+    routable; this is all the balancer's handler reads."""
 
-    slots: list = []
+    def __init__(self) -> None:
+        self.slots = (WorkerSlot(index=0),)
 
     def snapshot(self):
-        return []
+        return [slot.snapshot() for slot in self.slots]
 
 
 def test_balancer_keepalive_40_healthz_under_half_a_second():
@@ -284,6 +302,119 @@ def test_balancer_keepalive_40_healthz_under_half_a_second():
         loop.join(timeout=5)
 
 
+@pytest.fixture(params=["server", "balancer"])
+def front(request, machine, shared_profile_cache, tmp_path):
+    """A live HTTP front: the advisor server, or the fleet balancer over a
+    stub supervisor with nothing routable."""
+    if request.param == "server":
+        srv = create_server(
+            AdvisorService(
+                machine, cache_dir=tmp_path,
+                profile_cache=shared_profile_cache,
+            ),
+            port=0,
+        )
+    else:
+        srv = FleetBalancer(
+            ("127.0.0.1", 0), BalancerRequestHandler, _NoWorkers(),
+            bus=EventBus(),
+        )
+    loop = threading.Thread(target=srv.serve_forever, daemon=True)
+    loop.start()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+    loop.join(timeout=5)
+
+
+def _post_bytes(body: bytes, *, path="/advise", length=None) -> bytes:
+    """A raw keep-alive POST; ``length`` overrides the declared length."""
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: t\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode() + body
+
+
+def _exchange(srv, request: bytes) -> tuple[int, dict, dict]:
+    """Send one raw request and read until the front closes the connection.
+
+    No ``Connection: close`` is sent, so a front that kept the connection
+    open fails here by timing out.
+    """
+    chunks = []
+    with socket.create_connection(srv.server_address[:2], timeout=10) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+class TestFrontErrorMatrix:
+    """The advisor server and the fleet balancer share one error contract:
+    each malformed request gets its JSON error, and the connection closes
+    after it (a 413 never reads the body it refused)."""
+
+    @pytest.mark.parametrize("request_bytes,status,needle", [
+        (b"GET /nope HTTP/1.1\r\nHost: t\r\n\r\n", 404, "unknown path"),
+        (_post_bytes(b'{"suite": "dense"}', path="/nope"), 404,
+         "unknown path"),
+        (_post_bytes(b"", length="banana"), 400, "bad Content-Length"),
+        (_post_bytes(b"", length=10 * 1024 ** 3), 413, "exceeds the limit"),
+        (_post_bytes(b""), 400, "missing request body"),
+        (_post_bytes(b"{not json"), 400, "not valid JSON"),
+        (_post_bytes(b'"\xff"'), 400, "not valid JSON"),
+        (_post_bytes(b"[1, 2, 3]"), 400, "must be a JSON object"),
+        (_post_bytes(b'{"top": 1}'), 400, "either 'suite'"),
+    ], ids=[
+        "get-404", "post-404", "bad-length", "oversized", "empty",
+        "invalid-json", "not-utf8", "non-object", "no-matrix",
+    ])
+    def test_error_closes_the_connection(
+        self, front, request_bytes, status, needle
+    ):
+        got, headers, payload = _exchange(front, request_bytes)
+        assert got == status
+        assert headers["Content-Type"] == "application/json"
+        assert needle in payload["error"]
+
+    def test_unexpected_exception_is_a_json_500(self, front, monkeypatch):
+        def boom(*args):
+            raise RuntimeError("boom")
+
+        if isinstance(front, FleetBalancer):
+            monkeypatch.setattr(balancer_mod, "routing_fingerprint", boom)
+        else:
+            monkeypatch.setattr(AdvisorRequestHandler, "_resolve", boom)
+        status, _, payload = _exchange(
+            front, _post_bytes(b'{"suite": "dense"}')
+        )
+        assert status == 500
+        assert payload == {
+            "error": "internal server error: RuntimeError: boom"
+        }
+        host, port = front.server_address[:2]
+        # One poisoned request never wedges the front.
+        with urllib.request.urlopen(
+            f"http://{host}:{port}/healthz", timeout=10
+        ) as resp:
+            assert resp.status == 200
+
+    @pytest.mark.parametrize("front", ["balancer"], indirect=True)
+    def test_no_routable_worker_is_a_503_with_retry_after(self, front):
+        status, headers, payload = _exchange(
+            front, _post_bytes(b'{"suite": "dense"}')
+        )
+        assert status == 503
+        assert headers["Retry-After"] == "1"
+        assert "no fleet worker" in payload["error"]
+        assert front.routes.snapshot()["unroutable"] == 1
+
+
 @pytest.mark.slow
 class TestLiveFleet:
     """End-to-end: real worker subprocesses behind the real balancer."""
@@ -298,18 +429,8 @@ class TestLiveFleet:
         supervisor._new_worker = lambda index: self_worker(
             index, config, profile_root
         )
-        supervisor.start()
-        balancer = FleetBalancer(
-            ("127.0.0.1", 0), BalancerRequestHandler, supervisor
-        )
-        loop = threading.Thread(target=balancer.serve_forever, daemon=True)
-        loop.start()
-        base_url = f"http://127.0.0.1:{balancer.server_address[1]}"
-        yield supervisor, base_url
-        balancer.shutdown()
-        balancer.server_close()
-        loop.join(timeout=5)
-        supervisor.shutdown()
+        with serve_fleet(supervisor) as balancer:
+            yield supervisor, f"http://127.0.0.1:{balancer.server_address[1]}"
 
     def test_steady_mix_all_200_and_fanin(self, fleet):
         supervisor, base_url = fleet
@@ -355,6 +476,60 @@ class TestLiveFleet:
                 break
             deadline.wait(0.2)
         assert "worker_restart" in events
+
+
+@pytest.mark.slow
+def test_fleet_cli_sigterm_exits_0_and_leaves_no_worker(tmp_path, profile_root):
+    """``repro fleet --port 0`` announces its port, turns ready, and on
+    SIGTERM drains: exit 0 with its worker process gone."""
+    cache = tmp_path / "cache"
+    # Workers load the profile store at the cache root: seed it so they
+    # skip the calibration.
+    shutil.copytree(profile_root, cache)
+    env = dict(os.environ)
+    env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "fleet", "--workers", "1",
+            "--port", "0", "--cache-dir", str(cache),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    try:
+        line = ""
+        while "listening on" not in line:
+            line = proc.stdout.readline()
+            assert line, f"fleet exited early: {proc.stderr.read()}"
+        base_url = "http://" + line.split("http://")[1].split()[0]
+        deadline = time.monotonic() + 60
+        while True:
+            try:
+                with urllib.request.urlopen(
+                    f"{base_url}/readyz", timeout=10
+                ) as resp:
+                    if resp.status == 200:
+                        break
+            except urllib.error.HTTPError:
+                pass
+            assert time.monotonic() < deadline, "fleet never became ready"
+            time.sleep(0.1)
+        with urllib.request.urlopen(f"{base_url}/stats", timeout=30) as resp:
+            (slot,) = json.loads(resp.read())["fleet"]["slots"]
+        assert slot["pid"] is not None
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 0
+        with pytest.raises(ProcessLookupError):
+            os.kill(slot["pid"], 0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def self_worker(index, config, profile_root):

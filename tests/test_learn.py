@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.learned import DecisionTree
 from repro.errors import ModelError
-from repro.fleet.balancer import merge_stats
 from repro.learn import (
     LearnConfig,
     ModelRegistry,
@@ -544,72 +543,6 @@ class TestServiceClosedLoop:
             ]
 
         assert run("a") == run("b")
-
-
-# ----------------------------- fleet fan-in ----------------------------- #
-def _learn_block(**over):
-    block = {
-        "enabled": True,
-        "model_version": "v1",
-        "holdout_mod": 8,
-        "trace_records": 10,
-        "trace_segments": 1,
-        "model_swaps": 1,
-        "modes": {"baseline": 5, "holdout": 3, "guided": 2, "fallback": 0},
-        "shadow": {
-            "observed": 8, "agreed": 6,
-            "holdout_observed": 4, "holdout_agreed": 3,
-            "window": 4, "gap": 0.25, "threshold": 0.5,
-        },
-        "drift_breaker": {"state": "closed", "consecutive_failures": 0},
-    }
-    block.update(over)
-    return block
-
-
-def _worker_stats(learn):
-    return {
-        "requests": 1, "cache_hits": 0, "cache_misses": 1, "errors": 0,
-        "timeouts": 0, "batches": 0, "degraded": 0, "mean_latency_s": 0.1,
-        "machine": "m", "worker_id": 0, "cache_entries": 1,
-        "persistent_cache": True,
-        "resilience": {"events": {}, "breakers": {}},
-        "learn": learn,
-    }
-
-
-class TestFleetLearnMerge:
-    def test_counters_sum_and_breaker_worst_of(self):
-        a = _worker_stats(_learn_block())
-        b = _worker_stats(_learn_block(
-            model_version="v2",
-            trace_records=6,
-            model_swaps=2,
-            modes={"baseline": 1, "holdout": 1, "guided": 0, "fallback": 2},
-            shadow={
-                "observed": 4, "agreed": 1,
-                "holdout_observed": 2, "holdout_agreed": 0,
-                "window": 2, "gap": 1.0, "threshold": 0.5,
-            },
-            drift_breaker={"state": "open", "consecutive_failures": 3},
-        ))
-        merged = merge_stats([a, b])["learn"]
-        assert merged["enabled"] is True
-        assert merged["trace_records"] == 16
-        assert merged["model_swaps"] == 3
-        assert merged["model_versions"] == ["v1", "v2"]
-        assert merged["modes"]["fallback"] == 2
-        assert merged["modes"]["baseline"] == 6
-        shadow = merged["shadow"]
-        assert shadow["holdout_observed"] == 6
-        assert shadow["holdout_agreed"] == 3
-        assert shadow["gap"] == 0.5  # recomputed from the merged counts
-        assert merged["drift_breaker"]["state"] == "open"
-        assert merged["drift_breaker"]["consecutive_failures"] == 3
-
-    def test_disabled_everywhere_stays_disabled(self):
-        stats = [_worker_stats({"enabled": False})] * 2
-        assert merge_stats(stats)["learn"] == {"enabled": False}
 
 
 # ------------------------------ HTTP layer ------------------------------ #

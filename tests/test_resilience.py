@@ -619,23 +619,35 @@ class TestServerChaos:
 
 
 class TestCli:
-    def test_busy_port_is_a_one_line_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["serve", "fleet"])
+    def test_busy_port_is_a_one_line_error(
+        self, command, tmp_path, capsys, monkeypatch
+    ):
         from repro.cli import main
+        from repro.fleet import FleetSupervisor
 
+        # The fleet binds its port before it spawns a worker: a busy port
+        # must fail with no worker started (none left running).
+        starts = []
+        monkeypatch.setattr(
+            FleetSupervisor, "start", lambda self: starts.append(self)
+        )
         blocker = socket.socket()
         blocker.bind(("127.0.0.1", 0))
         blocker.listen(1)
         port = blocker.getsockname()[1]
         try:
             rc = main([
-                "serve", "--port", str(port), "--cache-dir", str(tmp_path),
+                command, "--port", str(port), "--cache-dir", str(tmp_path),
             ])
         finally:
             blocker.close()
         assert rc == 1
         err = capsys.readouterr().err
         assert "already in use" in err
-        assert "repro serve" in err
+        assert f"repro {command}" in err
+        assert len(err.strip().splitlines()) == 1
+        assert starts == []
 
     @pytest.mark.parametrize("argv", [
         ["serve", "--fault-plan", "{bad json"],

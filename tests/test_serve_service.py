@@ -1,9 +1,8 @@
-"""Tests for the thread-safe AdvisorService (advise, cache, batch API)."""
+"""Tests for the thread-safe AdvisorService (advise, cache, stats)."""
 
 import pytest
 
 from repro.serve.service import (
-    AdviseError,
     AdviseOptions,
     AdvisorService,
     Recommendation,
@@ -95,6 +94,7 @@ class TestAdvise:
         assert stats["cache_hits"] == 1
         assert stats["cache_misses"] == 1
         assert stats["cache_entries"] == 1
+        assert stats["mean_latency_s"] > 0
 
     def test_options_key_cache_separation(self, service, small):
         service.advise(small, model="overlap")
@@ -146,40 +146,6 @@ class TestAdviseDenseParity:
         assert rec.best.predicted_s == pytest.approx(
             exhaustive.predictions["overlap"]
         )
-
-
-class TestAdviseMany:
-    def test_batch_order_and_concurrency(self, service):
-        matrices = [
-            make_random_coo(150, 150, 1200, seed=s, with_values=False)
-            for s in (11, 12, 13)
-        ]
-        out = service.advise_many(matrices, max_workers=2)
-        assert len(out) == 3
-        for coo, rec in zip(matrices, out):
-            assert isinstance(rec, Recommendation)
-            assert rec.nnz == coo.nnz
-
-    def test_error_isolation(self, service, small):
-        out = service.advise_many([small, "no-such-matrix", small])
-        assert isinstance(out[0], Recommendation)
-        assert isinstance(out[1], AdviseError)
-        assert isinstance(out[2], Recommendation)
-        assert "no-such-matrix" in out[1].error
-        assert service.stats()["errors"] >= 1
-
-    def test_timeout_isolated(self, service):
-        out = service.advise_many(["dense"], timeout_s=0.001)
-        assert len(out) == 1
-        assert isinstance(out[0], AdviseError)
-        assert out[0].kind == "timeout"
-        assert service.stats()["timeouts"] == 1
-
-    def test_latency_tracked(self, service, small):
-        service.advise_many([small])
-        stats = service.stats()
-        assert stats["batches"] == 1
-        assert stats["mean_latency_s"] > 0
 
 
 class TestRecommendationPayload:
