@@ -8,9 +8,10 @@ block ranking within it) against the oracle.
 
 import numpy as np
 
-from repro.core.learned import LearnedSelector, extract_features
+from repro.core.learned import LearnedSelector, feature_vector
 from repro.machine import CORE2_XEON
 from repro.matrices.suite import SUITE
+from repro.serve.features import extract_features
 
 
 def _winning_kind(matrix_sweep, precision="dp"):
@@ -23,7 +24,7 @@ def test_learned_selection_leave_one_out(benchmark, sweep):
     entries = [e for e in SUITE if not e.special]
     coos = {e.name: e.build() for e in entries}
     feats = {
-        name: extract_features(coo, CORE2_XEON, precision)
+        name: feature_vector(extract_features(coo), CORE2_XEON, precision)
         for name, coo in coos.items()
     }
     labels = {

@@ -1,10 +1,11 @@
 """Shared fixtures for the benchmark harness.
 
 The table/figure benchmarks are projections of one full sweep over the
-30-matrix suite.  The sweep is expensive (~230 s of serial shard work) and
-therefore cached under ``.repro_cache/`` — the first benchmark run pays it,
-every later run reuses it.  Run ``python -m repro sweep --progress``
-beforehand to watch it.
+30-matrix suite.  The sweep costs ~78 s of serial shard work (45 s wall
+at ``--jobs 2`` on 2 vCPUs, 2.7 GB peak) and is therefore cached under
+``.repro_cache/`` — the first benchmark run pays it, every later run
+reuses it.  Run ``python -m repro sweep --jobs 2 --progress`` beforehand
+to watch it.
 """
 
 from __future__ import annotations

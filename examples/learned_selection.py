@@ -8,9 +8,10 @@ selection with the OVERLAP model inside the predicted format family.
 
 import numpy as np
 
-from repro.core.learned import FEATURE_NAMES, LearnedSelector, extract_features
+from repro.core.learned import FEATURE_NAMES, LearnedSelector, feature_vector
 from repro.machine import CORE2_XEON
 from repro.matrices import generators as g
+from repro.serve.features import extract_features
 
 ARCHETYPES = [
     ("FEM mesh (3-dof blocks)",
@@ -40,7 +41,7 @@ def main() -> None:
     feats, labels = [], []
     for _, build, kind in ARCHETYPES:
         for s in range(4):
-            feats.append(extract_features(build(s), CORE2_XEON))
+            feats.append(feature_vector(extract_features(build(s)), CORE2_XEON))
             labels.append(kind)
     selector = LearnedSelector(CORE2_XEON, min_samples_leaf=1)
     selector.fit(np.array(feats), labels)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from statistics import mean
 
+from ..core.selection import select_with_model
 from ..formats.csr import CSRMatrix
 from ..machine.executor import simulate
 from ..machine.machine import MachineModel
@@ -308,25 +309,6 @@ def figure3(sweep: SweepResult, precision: str) -> Figure3Result:
 # ===================================================================== #
 # Figure 4 / Table IV — selection accuracy
 # ===================================================================== #
-def _model_selection(
-    records: list[SweepRecord], model: str
-) -> SweepRecord:
-    """What ``model`` picks: its own minimum prediction.
-
-    As in the paper, models tune over the fixed-size space only (no
-    1D-VBL), and MEM — blind to implementations — defaults to the scalar
-    kernels.
-    """
-    pool = [
-        r
-        for r in records
-        if model in r.predictions and r.kind != "vbl"
-    ]
-    if model == "mem":
-        pool = [r for r in pool if r.impl == "scalar"]
-    return min(pool, key=lambda r: r.predictions[model])
-
-
 @dataclass
 class Figure4Result:
     precision: str
@@ -357,7 +339,7 @@ def figure4(sweep: SweepResult, precision: str) -> Figure4Result:
         best = min(records, key=lambda r: r.t_real)
         ids.append(m.idx)
         for model in _MODELS:
-            sel = _model_selection(records, model)
+            sel = select_with_model(records, model)
             normalized[model].append(sel.t_real / best.t_real)
     return Figure4Result(
         precision=precision,
@@ -404,7 +386,7 @@ def table4(sweep: SweepResult) -> Table4Result:
                     continue
                 records = m.select(precision=precision, nthreads=1)
                 best = min(records, key=lambda r: r.t_real)
-                sel = _model_selection(records, model)
+                sel = select_with_model(records, model)
                 if (sel.kind, sel.block) == (best.kind, best.block):
                     correct += 1
                 offsets.append(sel.t_real / best.t_real - 1.0)

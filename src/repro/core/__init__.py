@@ -23,7 +23,7 @@ from .models import (
     PerformanceModel,
     get_model,
 )
-from .learned import DecisionTree, LearnedSelector, extract_features
+from .learned import DecisionTree, LearnedSelector, feature_vector
 from .models_ext import (
     OverlapLatencyModel,
     estimate_format_misses,
@@ -36,6 +36,7 @@ from .selection import (
     StatsCache,
     build_candidate,
     oracle_best,
+    rank_with_model,
     select_with_model,
 )
 
@@ -56,7 +57,7 @@ __all__ = [
     "register_extended_models",
     "DecisionTree",
     "LearnedSelector",
-    "extract_features",
+    "feature_vector",
     "BlockProfile",
     "ProfileCache",
     "profile_machine",
@@ -65,6 +66,7 @@ __all__ = [
     "CandidateResult",
     "StatsCache",
     "build_candidate",
+    "rank_with_model",
     "select_with_model",
     "oracle_best",
 ]

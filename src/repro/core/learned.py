@@ -5,10 +5,13 @@ models for the execution of sparse kernels based on machine learning."
 
 This module implements that direction with no external ML dependency:
 
-* :func:`extract_features` — cheap structural features of a sparse pattern
-  (the quantities Section III identifies as deciding blocked-SpMV
-  behaviour: row lengths, run lengths, per-shape block fill, diagonal
-  fill, input-vector footprint vs. cache);
+* :func:`feature_vector` — the ten :data:`FEATURE_NAMES` of a matrix (the
+  quantities Section III identifies as deciding blocked-SpMV behaviour:
+  row lengths, run lengths, per-shape block fill, diagonal fill,
+  input-vector footprint vs. cache), read off the advisor's feature
+  bundle (:func:`repro.serve.features.extract_features`).  It is the one
+  vector every learner here trains on and predicts from: this offline
+  selector, its benchmark, and the online loop of :mod:`repro.learn`;
 * :class:`DecisionTree` — a small CART classifier (Gini impurity, axis
   splits) written from scratch;
 * :class:`LearnedSelector` — trains a tree on sweep data to predict the
@@ -23,28 +26,24 @@ the 30-matrix suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..errors import ModelError
-from ..formats.blockstats import bcsd_block_stats, bcsr_block_stats
-from ..formats.coarsen import (
-    coarsen_rows,
-    column_groups,
-    merge_columns,
-    pattern_csr,
-    shifted_pattern,
-    worth_coarsening,
-)
 from ..formats.coo import COOMatrix
 from ..machine.cache import x_budget_lines
 from ..machine.machine import MachineModel
 from ..types import Precision
 
+if TYPE_CHECKING:  # pragma: no cover - typing only (serve sits above core)
+    from ..serve.features import MatrixFeatures
+
 __all__ = [
     "FEATURE_NAMES",
-    "extract_features",
+    "feature_vector",
     "DecisionTree",
     "LearnedSelector",
 ]
@@ -62,81 +61,36 @@ FEATURE_NAMES = (
     "density_log10",
 )
 
-#: The ``(r, c)`` of the four BCSR fill features, and the BCSD size of the
-#: diagonal one.
-_RECT_FILLS = ((1, 2), (2, 1), (2, 2), (3, 3))
-_DIAG_FILL = 4
 
-
-def _block_fills(coo: COOMatrix) -> list[float]:
-    """The five fill features, each ``nnz / (blocks * elems)`` (1.0 when
-    the blocking has no blocks).
-
-    A fill needs only its block count, so the counts come from sparse
-    coarsening (:mod:`repro.formats.coarsen`), as the planner and the
-    advisor's probes count them: ``1 x 2`` merges the sorted pattern's
-    column pairs, ``2 x 1`` counts ``R_2 @ A``, ``2 x 2`` and ``3 x 3``
-    group that product's (and ``R_3 @ A``'s) columns, and the diagonal
-    counts ``R_4 @ shifted``.  Each fill is the same integer ratio as the
-    BlockStats definition, so the two agree bit for bit.  A pattern past
-    the coarsening guard counts its blocks with BlockStats.
-    """
-    n = coo.nnz
-    if worth_coarsening(coo.nrows, coo.ncols, n):
-        row_ptr = np.zeros(coo.nrows + 1, dtype=np.int64)
-        np.cumsum(coo.row_counts(), out=row_ptr[1:])
-        pattern = pattern_csr(coo, row_ptr)
-        by_height = coarsen_rows(pattern, {2, 3})
-        diag = coarsen_rows(shifted_pattern(coo, row_ptr), {_DIAG_FILL})
-        blocks = [
-            merge_columns(pattern, 2).nnz,
-            by_height[2].nnz,
-            (by_height[2] @ column_groups(coo.ncols, 2)).nnz,
-            (by_height[3] @ column_groups(coo.ncols, 3)).nnz,
-            diag[_DIAG_FILL].nnz,
-        ]
-    else:
-        blocks = [bcsr_block_stats(coo, r, c).n_blocks for r, c in _RECT_FILLS]
-        blocks.append(bcsd_block_stats(coo, _DIAG_FILL).n_blocks)
-    elems = [r * c for r, c in _RECT_FILLS] + [_DIAG_FILL]
-    return [n / (b * e) if b else 1.0 for b, e in zip(blocks, elems)]
-
-
-def extract_features(
-    coo: COOMatrix,
+def feature_vector(
+    features: MatrixFeatures,
     machine: MachineModel,
     precision: Precision | str = Precision.DP,
-) -> np.ndarray:
-    """Structural feature vector of a sparse pattern (see FEATURE_NAMES)."""
+) -> list[float]:
+    """The :data:`FEATURE_NAMES` vector of a matrix, read off the advisor's
+    feature bundle (:func:`repro.serve.features.extract_features`).
+
+    The fills are the bundle's probes: ``1 x 2``, ``2 x 1``, ``2 x 2``,
+    ``3 x 3`` and the size-4 diagonal are all probed sizes, so each is
+    the exact block-count ratio of the (panel-sampled, past 480k
+    nonzeros) pattern.
+    """
     precision = Precision.coerce(precision)
-    counts = coo.row_counts().astype(np.float64)
-    mean_row = counts.mean() if counts.size else 0.0
-    row_cv = counts.std() / mean_row if mean_row > 0 else 0.0
-
-    if coo.nnz:
-        starts = np.empty(coo.nnz, dtype=bool)
-        starts[0] = True
-        starts[1:] = (coo.rows[1:] != coo.rows[:-1]) | (
-            coo.cols[1:] != coo.cols[:-1] + 1
-        )
-        mean_run = coo.nnz / max(int(starts.sum()), 1)
-    else:
-        mean_run = 0.0
-
     budget_bytes = x_budget_lines(
         machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
     ) * machine.l2.line_bytes
-    x_ratio = (coo.ncols * precision.itemsize) / budget_bytes
-    density = coo.nnz / max(coo.nrows * coo.ncols, 1)
-
-    return np.array([
-        np.log10(max(mean_row, 1e-3)),
-        row_cv,
-        mean_run,
-        *_block_fills(coo),
-        x_ratio,
-        np.log10(max(density, 1e-12)),
-    ])
+    return [
+        math.log10(max(features.row_mean, 1e-3)),
+        features.row_cv,
+        features.mean_run_length,
+        features.est_rect_fill(1, 2),
+        features.est_rect_fill(2, 1),
+        features.est_rect_fill(2, 2),
+        features.est_rect_fill(3, 3),
+        features.est_diag_fill(4),
+        (features.ncols * precision.itemsize) / budget_bytes,
+        math.log10(max(features.density, 1e-12)),
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -307,7 +261,7 @@ class LearnedSelector:
         self._fitted = False
 
     def fit(self, features: np.ndarray, winning_kinds: list[str]) -> "LearnedSelector":
-        """Train on (feature vector, winning format kind) pairs."""
+        """Train on (:func:`feature_vector`, winning format kind) pairs."""
         self.tree.fit(features, winning_kinds)
         self._fitted = True
         return self
@@ -315,8 +269,11 @@ class LearnedSelector:
     def predict_kind(self, coo: COOMatrix, precision: Precision | str = "dp") -> str:
         if not self._fitted:
             raise ModelError("selector is not fitted")
+        # Imported lazily: serve sits above this module.
+        from ..serve.features import extract_features
+
         return self.tree.predict(
-            extract_features(coo, self.machine, precision)
+            feature_vector(extract_features(coo), self.machine, precision)
         )
 
     def select(

@@ -31,7 +31,7 @@ from ..formats.vbl import VBLMatrix
 from ..machine.executor import SimResult, simulate
 from ..machine.machine import MachineModel
 from ..types import Impl, Precision
-from .candidates import Candidate, candidate_space
+from .candidates import FIXED_BLOCK_KINDS, Candidate, candidate_space
 from .models import MODELS, PerformanceModel
 from .profiling import DEFAULT_PROFILE_CACHE, BlockProfile, ProfileCache
 
@@ -39,6 +39,7 @@ __all__ = [
     "CandidateResult",
     "StatsCache",
     "build_candidate",
+    "rank_with_model",
     "select_with_model",
     "oracle_best",
     "AutoTuner",
@@ -224,18 +225,19 @@ def evaluate_candidates(
     return results
 
 
-def select_with_model(
+def rank_with_model(
     results: Sequence[CandidateResult], model_name: str
-) -> CandidateResult:
-    """The candidate a model selects: its own minimum prediction.
+) -> list[CandidateResult]:
+    """The candidates a model ranks, best (lowest prediction) first.
 
     As in the paper, the models tune over the *fixed-size* blocking space
     only (Section IV: "we do not consider variable size blocking methods"),
     and the MEM model — blind to kernel implementations — defaults to the
-    non-SIMD kernels.
+    non-SIMD kernels.  The sort is stable, so tied predictions keep the
+    order of ``results``.  Accepts anything with ``candidate`` and
+    ``predictions``, e.g. the sweep's :class:`~repro.bench.harness.
+    SweepRecord`.
     """
-    from .candidates import FIXED_BLOCK_KINDS
-
     model = MODELS[model_name]
     pool = [
         r
@@ -246,7 +248,15 @@ def select_with_model(
         pool = [r for r in pool if r.candidate.impl is Impl.SCALAR]
     if not pool:
         raise ModelError(f"model {model_name!r} covered no candidate")
-    return min(pool, key=lambda r: r.predictions[model_name])
+    pool.sort(key=lambda r: r.predictions[model_name])
+    return pool
+
+
+def select_with_model(
+    results: Sequence[CandidateResult], model_name: str
+) -> CandidateResult:
+    """The candidate a model selects: the head of :func:`rank_with_model`."""
+    return rank_with_model(results, model_name)[0]
 
 
 def oracle_best(results: Sequence[CandidateResult]) -> CandidateResult:

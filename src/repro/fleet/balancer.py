@@ -164,6 +164,9 @@ class _RouteCounter:
 class FleetBalancer(ThreadingHTTPServer):
     """The fleet's front door; holds the supervisor and routing state."""
 
+    #: The request-body cap :meth:`JSONRequestHandler._read_json` enforces.
+    max_body_bytes = DEFAULT_MAX_BODY_BYTES
+
     def __init__(
         self,
         server_address,
@@ -171,14 +174,10 @@ class FleetBalancer(ThreadingHTTPServer):
         supervisor: FleetSupervisor,
         *,
         bus: EventBus | None = None,
-        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
-        proxy_timeout_s: float = DEFAULT_PROXY_TIMEOUT_S,
     ) -> None:
         super().__init__(server_address, handler_class)
         self.supervisor = supervisor
         self.bus = bus if bus is not None else supervisor.bus
-        self.max_body_bytes = max_body_bytes
-        self.proxy_timeout_s = proxy_timeout_s
         self.routes = _RouteCounter()
         #: Whether every worker drained cleanly; set when
         #: :func:`serve_fleet` exits.
@@ -223,11 +222,6 @@ class BalancerRequestHandler(JSONRequestHandler):
                 worker = slot.worker
             stats = worker.stats() if worker is not None else None
             if stats is not None:
-                # Belt and braces: the worker stamps its own worker_id
-                # (``serve --worker-id``); fill it in for old workers.
-                stats.setdefault("worker_id", slot.index)
-                if stats.get("worker_id") is None:
-                    stats["worker_id"] = slot.index
                 per_worker.append(stats)
         merged = merge_stats(per_worker)
         merged["workers"] = per_worker
@@ -303,7 +297,7 @@ class BalancerRequestHandler(JSONRequestHandler):
         host_port = base_url.removeprefix("http://")
         host, port = host_port.rsplit(":", 1)
         conn = http.client.HTTPConnection(
-            host, int(port), timeout=self.balancer.proxy_timeout_s
+            host, int(port), timeout=DEFAULT_PROXY_TIMEOUT_S
         )
         try:
             conn.request(

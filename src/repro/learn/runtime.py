@@ -21,29 +21,27 @@ decision** (:meth:`decide`) before the cache lookup and one
     The drift breaker is open: guided serving is suspended and requests
     are served exactly like ``baseline`` until the holdout gap recovers.
 
-Feature consistency: the 10-entry vector (:data:`~repro.core.learned.
-FEATURE_NAMES`) is derived from the serve layer's cheap
+Feature consistency: the 10-entry vector is
+:func:`repro.core.learned.feature_vector` of the serve layer's cheap
 :class:`~repro.serve.features.MatrixFeatures` bundle — the same bundle
-the pruner computes and the cache persists — so training (which reads
-the logged vectors) and serving see identical features by construction,
-and cache hits never pay a re-extraction.
+the pruner computes and the cache persists, and the same function the
+offline :class:`~repro.core.learned.LearnedSelector` classifies with — so
+training (which reads the logged vectors) and serving see identical
+features by construction, and cache hits never pay a re-extraction.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..core.learned import FEATURE_NAMES, DecisionTree
+from ..core.learned import FEATURE_NAMES, DecisionTree, feature_vector
 from ..engine.events import EventBus
-from ..machine.cache import x_budget_lines
 from ..machine.machine import MachineModel
 from ..resilience.guard import BreakerConfig
 from ..serve.features import MatrixFeatures
-from ..types import Precision
 from .registry import ModelRegistry
 from .shadow import ShadowEvaluator, is_holdout
 from .tracelog import TraceLog
@@ -107,36 +105,6 @@ class LearnDecision:
             "model_version": self.model_version,
             "holdout": self.holdout,
         }
-
-
-def feature_vector(
-    features: MatrixFeatures,
-    machine: MachineModel,
-    precision: Precision | str = Precision.DP,
-) -> list[float]:
-    """The learned selector's 10 features from the serve feature bundle.
-
-    Mirrors :func:`repro.core.learned.extract_features` (same
-    :data:`FEATURE_NAMES`, same order) but reads the cheap probed bundle
-    instead of re-walking the pattern — block fills come from the
-    calibrated 1-D/2-D probe estimates.
-    """
-    precision = Precision.coerce(precision)
-    budget_bytes = x_budget_lines(
-        machine.l2.size_bytes, machine.l2.line_bytes, machine.x_cache_fraction
-    ) * machine.l2.line_bytes
-    return [
-        math.log10(max(features.row_mean, 1e-3)),
-        features.row_cv,
-        features.mean_run_length,
-        features.est_rect_fill(1, 2),
-        features.est_rect_fill(2, 1),
-        features.est_rect_fill(2, 2),
-        features.est_rect_fill(3, 3),
-        features.est_diag_fill(4),
-        (features.ncols * precision.itemsize) / budget_bytes,
-        math.log10(max(features.density, 1e-12)),
-    ]
 
 
 class LearnRuntime:
@@ -244,11 +212,6 @@ class LearnRuntime:
             mode=mode, model_version=version, holdout=holdout, tree=tree
         )
 
-    def feature_vector(
-        self, features: MatrixFeatures, precision: Precision | str
-    ) -> list[float]:
-        return feature_vector(features, self.machine, precision)
-
     # --------------------------- observation ---------------------------- #
     def finish(self, rec) -> None:
         """Shadow-compare and trace-log one answered request.
@@ -267,8 +230,9 @@ class LearnRuntime:
             if cached is not None:
                 self._vector_cache.move_to_end(cache_key)
         if cached is None and rec.features is not None:
-            vector = self.feature_vector(
+            vector = feature_vector(
                 MatrixFeatures.from_payload(rec.features),
+                self.machine,
                 rec.options.precision,
             )
             cached = (vector, [round(v, 12) for v in vector])

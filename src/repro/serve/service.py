@@ -32,12 +32,14 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids an import cycle)
     from ..learn import LearnConfig
 
-from ..core.candidates import FIXED_BLOCK_KINDS, Candidate, candidate_space
-from ..core.models import MODELS, PerformanceModel
+from ..core.candidates import Candidate, candidate_space
+from ..core.learned import feature_vector
+from ..core.models import MODELS
 from ..core.profiling import ProfileCache, ProfileStore
+from ..core.selection import rank_with_model
 from ..durability.report import set_durability_listener
 from ..engine.events import EventBus
-from ..errors import ModelError, ServiceUnavailableError
+from ..errors import ServiceUnavailableError
 from ..formats.coo import COOMatrix
 from ..machine.batch import MatrixProgram
 from ..machine.machine import MachineModel
@@ -46,7 +48,7 @@ from ..resilience.faults import current_plan, fault_point
 from ..resilience.guard import BreakerConfig, CircuitBreaker, Deadline
 from ..types import Impl, Precision
 from .features import FEATURES_VERSION, MatrixFeatures, extract_features
-from .pruning import PruneConfig, PruneDecision, prune_candidates
+from .pruning import PruneDecision, prune_candidates
 from .store import AdvisorStore, profile_token
 
 __all__ = [
@@ -266,7 +268,6 @@ class AdvisorService:
         *,
         cache_dir: str | Path | None = ".repro_cache",
         profile_cache: ProfileCache | None = None,
-        prune_config: PruneConfig | None = None,
         breaker_config: BreakerConfig | None = None,
         reporters: tuple | list = (),
         worker_id: int | None = None,
@@ -285,9 +286,6 @@ class AdvisorService:
                 ProfileStore(cache_dir) if cache_dir is not None else ProfileCache()
             )
         self.profile_cache = profile_cache
-        self.prune_config = (
-            prune_config if prune_config is not None else PruneConfig()
-        )
         self.store = AdvisorStore(cache_dir) if cache_dir is not None else None
         #: Identifies this service in a fleet's aggregated ``/stats`` view
         #: (``None`` for a standalone server).
@@ -535,8 +533,7 @@ class AdvisorService:
             if options.prune:
                 features = extract_features(coo, fingerprint=fingerprint)
                 pruning = prune_candidates(
-                    features, candidates, self.prune_config,
-                    precision=precision,
+                    features, candidates, precision=precision
                 )
                 pool = pruning.kept
             if self.learn is not None and features is None:
@@ -550,8 +547,9 @@ class AdvisorService:
                 and decision.mode == "guided"
                 and features is not None
             ):
-                vector = self.learn.feature_vector(features, precision)
-                predicted_kind = decision.tree.predict(vector)
+                predicted_kind = decision.tree.predict(
+                    feature_vector(features, self.machine, precision)
+                )
                 guided = [c for c in pool if c.kind == predicted_kind]
                 if guided:
                     pool = guided
@@ -573,7 +571,15 @@ class AdvisorService:
             )
             if deadline is not None:
                 deadline.check("evaluate")
-            ranking = _rank(results, model)
+            ranking = [
+                RankedCandidate(
+                    kind=r.candidate.kind,
+                    block=r.candidate.block,
+                    impl=r.candidate.impl.value,
+                    predicted_s=r.predictions[model.name],
+                )
+                for r in rank_with_model(results, model.name)
+            ]
         except Exception:
             if breaker.record_failure() == "open":
                 self.bus.emit(
@@ -677,33 +683,3 @@ class AdvisorService:
             else {"enabled": False}
         )
         return snap
-
-
-def _rank(results, model: PerformanceModel) -> list[RankedCandidate]:
-    """Rank evaluated candidates by the model's own prediction.
-
-    Same pool semantics as :func:`repro.core.selection.select_with_model`:
-    fixed-size blockings only, and the implementation-blind MEM model
-    defaults to the scalar kernels.
-    """
-    model_name = model.name
-    pool = [
-        r
-        for r in results
-        if model_name in r.predictions
-        and r.candidate.kind in FIXED_BLOCK_KINDS
-    ]
-    if not model.impl_aware:
-        pool = [r for r in pool if r.candidate.impl is Impl.SCALAR]
-    if not pool:
-        raise ModelError(f"model {model_name!r} covered no candidate")
-    pool.sort(key=lambda r: r.predictions[model_name])
-    return [
-        RankedCandidate(
-            kind=r.candidate.kind,
-            block=r.candidate.block,
-            impl=r.candidate.impl.value,
-            predicted_s=r.predictions[model_name],
-        )
-        for r in pool
-    ]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench.experiments import _config_records, _model_selection
+from repro.bench.experiments import _config_records
 from repro.bench.harness import (
     MatrixSweep,
     SweepConfig,
@@ -13,7 +13,7 @@ from repro.bench.harness import (
     atomic_write_json,
     load_or_run_sweep,
 )
-from repro.core import Candidate
+from repro.core import Candidate, select_with_model
 from repro.types import Impl
 
 
@@ -79,7 +79,7 @@ class TestConfigRecords:
 class TestModelSelection:
     def test_mem_restricted_to_scalar_and_no_vbl(self, matrix_sweep):
         records = matrix_sweep.select(precision="dp", nthreads=1)
-        sel = _model_selection(records, "mem")
+        sel = select_with_model(records, "mem")
         # VBL has the lowest mem prediction (0.7) but is excluded; the
         # SIMD record is excluded for MEM too.
         assert sel.kind == "bcsr"
@@ -87,7 +87,7 @@ class TestModelSelection:
 
     def test_overlap_may_pick_simd(self, matrix_sweep):
         records = matrix_sweep.select(precision="dp", nthreads=1)
-        sel = _model_selection(records, "overlap")
+        sel = select_with_model(records, "overlap")
         assert sel.impl == "simd"
 
 

@@ -8,7 +8,7 @@ from repro.core.learned import (
     FEATURE_NAMES,
     DecisionTree,
     LearnedSelector,
-    extract_features,
+    feature_vector,
 )
 from repro.core.selection import evaluate_candidates, select_with_model
 from repro.errors import ModelError
@@ -17,6 +17,7 @@ from repro.formats.blockstats import bcsd_block_stats, bcsr_block_stats
 from repro.formats.coarsen import worth_coarsening
 from repro.machine import CORE2_XEON
 from repro.matrices import generators as g
+from repro.serve.features import SAMPLE_TARGET_NNZ, extract_features
 
 FILL_FEATURES = ("fill_1x2", "fill_2x1", "fill_2x2", "fill_3x3", "diag_fill_4")
 
@@ -30,6 +31,13 @@ def _blockstats_fills(coo):
     return [st.nnz / st.nnz_stored if st.n_blocks else 1.0 for st in stats]
 
 
+def _vector(coo, precision="dp"):
+    """The learned selector's feature vector of ``coo``, as an array."""
+    return np.array(
+        feature_vector(extract_features(coo), CORE2_XEON, precision)
+    )
+
+
 def _empty_rows(seed):
     """Nonzeros only on every third row, in an odd number of rows."""
     r = np.random.default_rng(seed)
@@ -40,19 +48,19 @@ def _empty_rows(seed):
 class TestFeatures:
     def test_vector_shape(self):
         coo = g.grid2d(20, 20, 5)
-        feats = extract_features(coo, CORE2_XEON)
+        feats = _vector(coo)
         assert feats.shape == (len(FEATURE_NAMES),)
         assert np.isfinite(feats).all()
 
     def test_fem_features_show_blocks(self):
         fem = g.grid2d(20, 20, 5, dof=3)
-        feats = dict(zip(FEATURE_NAMES, extract_features(fem, CORE2_XEON)))
+        feats = dict(zip(FEATURE_NAMES, _vector(fem)))
         assert feats["fill_3x3"] == 1.0
         assert feats["mean_run_length"] >= 3.0
 
     def test_random_features_show_no_blocks(self):
         rnd = g.random_uniform(3000, 3000, 20_000, seed=1)
-        feats = dict(zip(FEATURE_NAMES, extract_features(rnd, CORE2_XEON)))
+        feats = dict(zip(FEATURE_NAMES, _vector(rnd)))
         assert feats["fill_2x2"] < 0.35
         assert feats["mean_run_length"] < 1.2
 
@@ -65,21 +73,47 @@ class TestFeatures:
         (lambda: COOMatrix(5, 7, np.zeros(0, int), np.zeros(0, int)), False),
     ], ids=["random", "banded", "fem", "empty_rows", "past_guard", "empty"])
     def test_fills_equal_the_blockstats_definition(self, build, coarsened):
-        """The counted fills are the BlockStats ratios bit for bit, on
-        both sides of the coarsening guard."""
+        """On an unsampled pattern the bundle's fills are the BlockStats
+        ratios bit for bit, on both sides of the coarsening guard."""
         coo = build()
         assert worth_coarsening(coo.nrows, coo.ncols, coo.nnz) == coarsened
-        feats = extract_features(coo, CORE2_XEON)
+        feats = _vector(coo)
         got = feats[[FEATURE_NAMES.index(name) for name in FILL_FEATURES]]
         assert got.tobytes() == np.array(_blockstats_fills(coo)).tobytes()
 
     def test_x_footprint_ratio_scales_with_ncols(self):
         small = g.random_uniform(2000, 2000, 10_000, seed=2)
         big = g.random_uniform(800_000, 800_000, 10_000, seed=2)
-        f_small = extract_features(small, CORE2_XEON)
-        f_big = extract_features(big, CORE2_XEON)
+        f_small = _vector(small)
+        f_big = _vector(big)
         idx = FEATURE_NAMES.index("x_footprint_ratio")
         assert f_big[idx] > f_small[idx] * 100
+
+    def test_selector_classifies_the_bundle_vector_when_sampled(
+        self, monkeypatch
+    ):
+        """Past the sampling threshold the bundle's fills come from row
+        panels, so they differ from a whole-pattern count; the selector
+        must classify the bundle's vector, the one the advisor trains on
+        and serves from."""
+        coo = g.random_uniform(200_000, 200_000, 600_000, seed=5)
+        assert coo.nnz > 2 * SAMPLE_TARGET_NNZ
+        features = extract_features(coo)
+        assert features.sampled
+        selector = LearnedSelector(CORE2_XEON).fit(
+            np.zeros((2, len(FEATURE_NAMES))), ["csr", "csr"]
+        )
+        seen = []
+        monkeypatch.setattr(
+            selector.tree, "predict", lambda x: seen.append(list(x)) or "csr"
+        )
+        assert selector.predict_kind(coo, "sp") == "csr"
+        assert seen == [feature_vector(features, CORE2_XEON, "sp")]
+
+    def test_online_loop_reads_the_same_function(self):
+        from repro.learn import runtime
+
+        assert runtime.feature_vector is feature_vector
 
 
 class TestDecisionTree:
@@ -135,7 +169,7 @@ class TestLearnedSelector:
         feats, labels = [], []
         for build, kind in builders:
             for s in range(4):
-                feats.append(extract_features(build(s), CORE2_XEON))
+                feats.append(_vector(build(s)))
                 labels.append(kind)
         return selector.fit(np.array(feats), labels)
 

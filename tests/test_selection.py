@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.bench.harness import SweepRecord
 from repro.core import (
     MODELS,
     AutoTuner,
     Candidate,
+    CandidateResult,
     candidate_space,
     oracle_best,
+    rank_with_model,
     register_extended_models,
     select_with_model,
 )
@@ -145,6 +148,73 @@ class TestEvaluation:
             candidates=candidate_space(impls=(Impl.SCALAR,)),
         )
         assert len(cache) == n_first  # nothing rebuilt
+
+
+def _result(kind, block, impl, **predictions):
+    return CandidateResult(
+        candidate=Candidate(kind, block, impl), ws_bytes=0,
+        padding_ratio=1.0, n_blocks=0, predictions=predictions,
+    )
+
+
+class TestRankWithModel:
+    @pytest.fixture
+    def results(self):
+        """1D-VBL predicted cheapest by MEM; ties at 0.5 under both models."""
+        return [
+            _result("vbl", None, Impl.SCALAR, mem=0.1),
+            _result("bcsr", (2, 2), Impl.SIMD, mem=0.5, overlap=0.5),
+            _result("csr", None, Impl.SCALAR, mem=0.9, overlap=0.9),
+            _result("bcsd", 4, Impl.SCALAR, mem=0.5, overlap=0.5),
+            _result("bcsr", (2, 2), Impl.SCALAR, mem=0.5, overlap=0.7),
+        ]
+
+    @staticmethod
+    def _labels(ranked):
+        return [r.candidate.label for r in ranked]
+
+    def test_vbl_is_excluded(self, results):
+        assert "1D-VBL" not in self._labels(rank_with_model(results, "mem"))
+
+    def test_mem_ranks_scalar_kernels_only(self, results):
+        assert self._labels(rank_with_model(results, "mem")) == [
+            "BCSD 4", "BCSR 2x2", "CSR",
+        ]
+
+    def test_ties_keep_candidate_order(self, results):
+        assert self._labels(rank_with_model(results, "overlap")) == [
+            "BCSR 2x2 simd", "BCSD 4", "BCSR 2x2", "CSR",
+        ]
+        assert self._labels(rank_with_model(results[::-1], "overlap")) == [
+            "BCSD 4", "BCSR 2x2 simd", "BCSR 2x2", "CSR",
+        ]
+
+    def test_select_is_the_head_of_the_ranking(self, results):
+        for model in ("mem", "overlap"):
+            assert select_with_model(results, model) is rank_with_model(
+                results, model
+            )[0]
+
+    def test_accepts_sweep_records(self):
+        def record(kind, block, impl, **predictions):
+            return SweepRecord(
+                kind=kind, block=block, impl=impl, precision="dp",
+                nthreads=1, t_real=1.0, t_mem=1.0, t_comp=0.0,
+                t_latency=0.0, ws_bytes=0, padding_ratio=1.0, n_blocks=0,
+                predictions=predictions,
+            )
+
+        records = [
+            record("vbl", None, "scalar", mem=0.1),
+            record("bcsr", [2, 2], "simd", mem=0.2, overlap=0.2),
+            record("csr", None, "scalar", mem=0.3, overlap=0.3),
+        ]
+        assert rank_with_model(records, "overlap") == records[1:]
+        assert rank_with_model(records, "mem") == [records[2]]
+
+    def test_uncovered_model_raises(self, results):
+        with pytest.raises(ModelError, match="covered no candidate"):
+            rank_with_model(results[:1], "overlap")
 
 
 class TestAutoTuner:
