@@ -4,20 +4,21 @@ One full sweep produces, for each (matrix, candidate, precision, threads):
 the simulated "measured" time with its breakdown, the format's working set
 and padding, and — for the single-threaded runs — the prediction of each
 performance model.  Every table and figure of the paper is a projection of
-this dataset, so it is computed once and cached as JSON under
-``.repro_cache/`` (keyed by a fingerprint of the configuration).
+this dataset, so it is computed once and cached under ``.repro_cache/``
+(keyed by a fingerprint of the configuration).
 
 Execution is delegated to :mod:`repro.engine`: the sweep is decomposed
 into per-matrix *shards* that run across a worker pool, each persisted
-atomically so an interrupted sweep resumes from where it stopped.  The
-monolithic cache file kept here is a read-through fast path assembled
-from the shards once a sweep completes.
+atomically under ``shards/<fingerprint>/``, so an interrupted sweep
+resumes from where it stopped.  That shard store is the sweep's only
+on-disk form: a completed config is served shard by shard, and
+``--fresh`` recomputes it.  A ``sweep_<fingerprint>.json`` file left by
+older versions is no longer read and can be deleted.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import time
 from dataclasses import asdict, dataclass, field
 from hashlib import sha256
@@ -28,17 +29,7 @@ from ..core.candidates import Candidate, candidate_space
 from ..core.profiling import BlockProfile, ProfileCache
 from ..core.selection import CandidateResult
 from ..formats.coo import COOMatrix
-
-# Re-exported here for backwards compatibility: these helpers started life
-# in this module and grew callers across bench/, engine/ and serve/.
-from ..ioutils import (  # noqa: F401
-    CACHE_DECODE_ERRORS,
-    CacheWriteError,
-    atomic_write_json,
-    read_envelope,
-    remove_stale_tmp_files,
-    write_envelope,
-)
+from ..ioutils import remove_stale_tmp_files
 from ..machine.batch import MatrixProgram
 from ..machine.machine import MachineModel
 from ..machine.presets import get_preset
@@ -53,14 +44,12 @@ __all__ = [
     "assemble_matrix_sweep",
     "sweep_matrix",
     "matrix_sweep_from_payload",
-    "atomic_write_json",
     "run_sweep",
     "load_or_run_sweep",
     "DEFAULT_CACHE_DIR",
     "PHASE_NAMES",
 ]
 
-logger = logging.getLogger(__name__)
 
 #: Bump when the simulator, the cost tables or the suite change meaningfully.
 SWEEP_VERSION = 10
@@ -178,13 +167,6 @@ def matrix_sweep_from_payload(payload: Mapping) -> MatrixSweep:
     return MatrixSweep(records=records, **m)
 
 
-def _config_from_payload(payload: Mapping) -> SweepConfig:
-    return SweepConfig(**{
-        k: tuple(v) if isinstance(v, list) else v
-        for k, v in payload.items()
-    })
-
-
 @dataclass
 class SweepResult:
     """A full (or, after quarantines, partial) sweep over the suite."""
@@ -201,30 +183,6 @@ class SweepResult:
             if m.name == name_or_idx or m.idx == name_or_idx:
                 return m
         raise KeyError(f"no sweep data for matrix {name_or_idx!r}")
-
-    # -------------------------- persistence -------------------------- #
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "config": asdict(self.config),
-            "elapsed_s": self.elapsed_s,
-            "missing": list(self.missing),
-            "matrices": [asdict(m) for m in self.matrices],
-        }
-        write_envelope(path, payload, schema=SWEEP_VERSION)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SweepResult":
-        """Parse a (possibly pre-envelope) sweep cache; the envelope
-        layer raises into :data:`CACHE_DECODE_ERRORS` on corruption."""
-        payload = read_envelope(path)
-        return cls(
-            config=_config_from_payload(payload["config"]),
-            matrices=[
-                matrix_sweep_from_payload(m) for m in payload["matrices"]
-            ],
-            elapsed_s=payload["elapsed_s"],
-            missing=list(payload.get("missing", ())),
-        )
 
     def canonical_json(self) -> str:
         """Deterministic serialization of the sweep *data*.
@@ -386,40 +344,23 @@ def load_or_run_sweep(
     run_log: str | Path | None = None,
     profile: bool = False,
 ) -> SweepResult:
-    """Return the cached sweep for ``config``, running it if absent.
+    """Return the sweep for ``config``, served from its shards or run.
 
-    Cache misses run through the :mod:`repro.engine` worker pool:
+    Runs through the :mod:`repro.engine` worker pool, whose shard store
+    is the sweep's only cache: a completed config is served shard by
+    shard (one ``shard_cached`` event each, no ``shard_start``).
 
     * ``jobs`` — worker processes (``None`` = ``os.cpu_count()``).
-    * ``resume`` — reuse per-matrix shards left by an interrupted sweep;
-      ``False`` discards them and recomputes everything.
+    * ``resume`` — reuse the shards an earlier run persisted; ``False``
+      discards them and recomputes everything (``--fresh``).
     * ``run_log`` — append machine-readable JSONL engine events here.
     * ``profile`` — print a per-shard and aggregate phase-timing breakdown
       (convert / stats / simulate / models seconds) after the sweep.
-
-    A corrupt or truncated monolithic cache file is discarded with a
-    warning and the sweep re-runs (from its shards, when they survive).
-    The monolithic file is only (re)written once the sweep is complete,
-    i.e. no shard was quarantined.
     """
     # Opening the cache dir is the natural place to collect orphaned tmp
     # files left by crashed writers (ours or a sibling process's).
     if Path(cache_dir).is_dir():
         remove_stale_tmp_files(cache_dir)
-    cache_path = Path(cache_dir) / f"sweep_{config.fingerprint()}.json"
-    if cache_path.exists():
-        try:
-            return SweepResult.load(cache_path)
-        except CACHE_DECODE_ERRORS as exc:
-            from ..durability.report import quarantine_artifact
-
-            logger.warning(
-                "discarding corrupt sweep cache %s (%s: %s); re-running",
-                cache_path, type(exc).__name__, exc,
-            )
-            quarantine_artifact(
-                cache_path, cache_dir, owner="sweep", error=exc
-            )
 
     # Imported here, not at module top: the engine is built on top of this
     # module and importing it eagerly would be circular.
@@ -436,7 +377,7 @@ def load_or_run_sweep(
         log_reporter = JsonlReporter(run_log)
         reporters.append(log_reporter)
     try:
-        result = SweepEngine(
+        return SweepEngine(
             config,
             cache_dir=cache_dir,
             jobs=jobs,
@@ -446,13 +387,3 @@ def load_or_run_sweep(
     finally:
         if log_reporter is not None:
             log_reporter.close()
-    if not result.missing:
-        try:
-            result.save(cache_path)
-        except CacheWriteError as exc:
-            from ..durability.report import report_write_failure
-
-            # The sweep itself succeeded; losing the monolithic cache
-            # only costs the next run a shard-level resume.
-            report_write_failure(owner="sweep", path=cache_path, error=exc)
-    return result

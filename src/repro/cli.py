@@ -6,7 +6,7 @@ Usage::
     python -m repro sweep --progress              # full sweep, all cores
     python -m repro sweep --jobs 2 --run-log run.jsonl
     python -m repro sweep --matrices 1,27,30 --precisions dp --threads 1
-    python -m repro sweep --fresh                 # ignore partial shards
+    python -m repro sweep --fresh                 # recompute every shard
     python -m repro table2 table3 fig2 fig3 fig4 table4 colind
     python -m repro all                           # everything, paper order
     python -m repro advise pwtk --top 3           # format advisor, one matrix
@@ -25,10 +25,12 @@ Usage::
 
 Sweeps run on the :mod:`repro.engine` worker pool: ``--jobs N`` picks the
 number of worker processes (default: all cores), completed per-matrix
-shards persist under ``<cache-dir>/shards/`` so an interrupted sweep
-resumes where it stopped (``--resume``, the default; ``--fresh`` discards
-them), and ``--run-log PATH`` appends machine-readable JSONL events
-(shard start/finish/retry/quarantine, throughput, worker utilization).
+shards persist under ``<cache-dir>/shards/`` — the sweep's only cache — so
+an interrupted sweep resumes where it stopped and a completed one is
+served from them (``--resume``, the default; ``--fresh`` discards them
+and recomputes every shard), and ``--run-log PATH`` appends
+machine-readable JSONL events (shard start/finish/retry/quarantine,
+throughput, worker utilization).
 ``--matrices/--precisions/--threads`` restrict the sweep for quick runs;
 each restriction is a separately-cached configuration.
 """
@@ -103,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--fresh",
         dest="resume",
         action="store_false",
-        help="discard partial shards and recompute everything",
+        help="discard this config's shards and recompute every one",
     )
     engine.add_argument(
         "--run-log",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from hashlib import sha256
@@ -35,14 +34,8 @@ from ..errors import ProfileError
 from ..formats.base import SparseFormat
 from ..formats.coo import COOMatrix
 from ..formats.csr import CSRMatrix
-from ..durability.report import quarantine_artifact, report_write_failure
-from ..ioutils import (
-    CACHE_DECODE_ERRORS,
-    CacheWriteError,
-    read_envelope,
-    remove_stale_tmp_files,
-    write_envelope,
-)
+from ..durability.report import load_artifact, save_artifact
+from ..ioutils import remove_stale_tmp_files
 from ..machine.executor import simulate, x_misses
 from ..machine.machine import MachineModel
 from ..types import DEFAULT_MAX_BLOCK_ELEMS, Impl, Precision
@@ -59,7 +52,6 @@ __all__ = [
     "profile_from_payload",
 ]
 
-logger = logging.getLogger(__name__)
 
 #: Row/column count of the small (in-L1) and large (out-of-L2) dense
 #: profiling matrices.  40x40 in CSR double precision is ~21 KiB (< 32 KiB
@@ -469,28 +461,17 @@ class ProfileStore(ProfileCache):
     ) -> BlockProfile | None:
         """The on-disk profile, or ``None`` (absent, stale, or corrupt —
         a corrupt file is quarantined for ``repro fsck`` to report)."""
-        precision = Precision.coerce(precision)
-        path = self.path(machine, precision, calibrate_latency)
-        if not path.exists():
-            return None
-        try:
-            payload = read_envelope(path)
-        except CACHE_DECODE_ERRORS as exc:
-            quarantine_artifact(
-                path, self.cache_root, owner="profiles", error=exc
-            )
-            return None
-        try:
+        def accept(payload: dict) -> BlockProfile:
             if payload["schema"] != PROFILE_SCHEMA:
                 raise ValueError("schema mismatch")
             return profile_from_payload(payload["profile"])
-        except CACHE_DECODE_ERRORS as exc:
-            logger.warning(
-                "discarding stale profile cache %s (%s: %s); recalibrating",
-                path, type(exc).__name__, exc,
-            )
-            path.unlink(missing_ok=True)
-            return None
+
+        path = self.path(
+            machine, Precision.coerce(precision), calibrate_latency
+        )
+        return load_artifact(
+            path, self.cache_root, owner="profiles", accept=accept
+        )
 
     def store_profile(
         self,
@@ -506,15 +487,11 @@ class ProfileStore(ProfileCache):
         (full disk) costs the *next* process a recalibration — it never
         crashes this one.
         """
-        precision = Precision.coerce(precision)
-        path = self.path(machine, precision, calibrate_latency)
-        try:
-            write_envelope(path, {
-                "schema": PROFILE_SCHEMA,
-                "machine": machine.name,
-                "profile": profile_to_payload(profile),
-            }, schema=PROFILE_SCHEMA)
-        except CacheWriteError as exc:
-            report_write_failure(owner="profiles", path=path, error=exc)
-            return False
-        return True
+        path = self.path(
+            machine, Precision.coerce(precision), calibrate_latency
+        )
+        return save_artifact(path, {
+            "schema": PROFILE_SCHEMA,
+            "machine": machine.name,
+            "profile": profile_to_payload(profile),
+        }, owner="profiles", schema=PROFILE_SCHEMA)

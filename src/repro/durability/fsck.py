@@ -1,12 +1,15 @@
 """Cache-tree verification, repair and GC — the engine behind ``repro fsck``.
 
 :func:`fsck_tree` walks every artifact a cache root can hold — the
-monolithic sweep caches, per-matrix shards and their quarantine markers,
-advisor recommendation entries, calibrated machine profiles, versioned
-model artifacts plus the ``current`` pointer, and the JSONL request-trace
+per-matrix sweep shards and their quarantine markers, advisor
+recommendation entries, calibrated machine profiles, versioned model
+artifacts plus the ``current`` pointer, and the JSONL request-trace
 segments — across the root itself *and* every fleet worker partition
 (``fleet/worker-<id>/``), and verifies each one's checksummed envelope
-(:mod:`repro.durability.envelope`).  Findings come in three severities:
+(:mod:`repro.durability.envelope`).  A ``sweep_<fingerprint>.json`` file
+left by older versions is not an artifact any owner reads any more, so
+the walk ignores it; it can be deleted.  Findings come in three
+severities:
 
 * **problems** (``corrupt``, ``torn-line``, ``stale-tmp``) — an artifact
   that fails integrity verification, a trace line whose CRC or JSON does
@@ -26,7 +29,7 @@ Every owner treats a missing artifact as a cache miss, so repair never
 loses data an owner could still have used — that is why fleet workers run
 ``fsck_tree(..., repair=True)`` on startup before answering ``/readyz``.
 
-``gc_max_bytes`` bounds the tree: rebuildable artifacts (sweeps, shards,
+``gc_max_bytes`` bounds the tree: rebuildable artifacts (shards,
 advisor entries, trace segments, quarantined evidence, unreferenced model
 artifacts) are deleted oldest-first — deterministically ordered by
 ``(mtime_ns, path)`` — until the tree fits.  Calibrated profiles, the
@@ -187,8 +190,6 @@ def _partition_roots(cache_root: Path):
 
 
 def _scan_partition(root: Path, report: FsckReport, repair: bool) -> None:
-    for path in sorted(root.glob("sweep_*.json")):
-        _check_artifact(path, "sweep", root, report, repair)
     shards = root / "shards"
     if shards.is_dir():
         for fpdir in sorted(p for p in shards.iterdir() if p.is_dir()):
@@ -375,8 +376,6 @@ def _gc_candidates(cache_root: Path):
     model), and tmp files (the stale-tmp check owns those).
     """
     for root in _partition_roots(cache_root):
-        for path in sorted(root.glob("sweep_*.json")):
-            yield path, "sweep"
         shards = root / "shards"
         if shards.is_dir():
             for path in sorted(shards.rglob("shard_*")):

@@ -1,37 +1,58 @@
-"""Quarantine and event plumbing for detected cache damage.
+"""How a cache artifact is loaded, saved, quarantined and reported.
 
-When a cache owner's verify-on-load fails, the file is **moved** to
-``<cache_root>/quarantine/`` (same filesystem, so the move is atomic)
-with a ``.why.json`` sidecar recording who detected what — the evidence
-survives for ``repro fsck`` and the operator instead of being unlinked.
+:func:`load_artifact` and :func:`save_artifact` are the one load/save
+protocol the advisor store, the shard store and the profile store share:
+
+* **load** — an absent file is a miss.  A file that fails envelope
+  verification (or does not parse) is **moved** to
+  ``<cache_root>/quarantine/`` (same filesystem, so the move is atomic)
+  with a ``.why.json`` sidecar recording who detected what — the evidence
+  survives for ``repro fsck`` and the operator instead of being unlinked.
+  A file that verifies but fails the owner's acceptance check (schema,
+  fingerprint, profile token) is stale: it is unlinked with a warning.
+  Every rejection reads as a miss, so the owner recomputes.
+* **save** — an atomic, enveloped write.  A failed write (full disk,
+  lost permissions) is reported and returns ``False``: the owner
+  degrades to serving from memory instead of crashing.
 
 Detection and write failures are also forwarded to a process-global
 listener (installed by the sweep engine and the advisor service, the two
-components that own an event bus) which re-emits them as the
-``cache_corrupt_detected`` / ``cache_write_failed`` events declared in
-:data:`repro.engine.events.EVENT_SCHEMAS` — so a chaos run's corruption
-history lands in the same JSONL run log as everything else.  The
-last-installed listener wins, mirroring the ``FaultPlan.on_inject``
-convention in :mod:`repro.resilience.faults`.
+components that own an event bus, through :func:`forward_to_bus`) which
+re-emits them as the ``cache_corrupt_detected`` / ``cache_write_failed``
+events declared in :data:`repro.engine.events.EVENT_SCHEMAS` — so a chaos
+run's corruption history lands in the same JSONL run log as everything
+else.  The last-installed listener wins, mirroring the
+``FaultPlan.on_inject`` convention in :mod:`repro.resilience.faults`.
 """
 
 from __future__ import annotations
 
 import logging
 import os
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, TypeVar
 
-from ..ioutils import write_envelope
+from ..ioutils import (
+    CACHE_DECODE_ERRORS,
+    CacheWriteError,
+    read_envelope,
+    write_envelope,
+)
 
 __all__ = [
     "QUARANTINE_DIR",
     "set_durability_listener",
     "clear_durability_listener",
+    "forward_to_bus",
+    "load_artifact",
+    "save_artifact",
     "report_corruption",
     "report_write_failure",
     "quarantine_artifact",
 ]
+
+T = TypeVar("T")
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +71,32 @@ def set_durability_listener(callback: Callable[[dict], None]) -> None:
 def clear_durability_listener() -> None:
     global _LISTENER
     _LISTENER = None
+
+
+def forward_to_bus(bus) -> None:
+    """Install a listener that re-emits every incident on ``bus``."""
+    set_durability_listener(partial(_emit_durability, bus))
+
+
+def _emit_durability(bus, info: dict) -> None:
+    """Forward one durability incident onto an event bus."""
+    if info.get("kind") == "cache_write_failed":
+        bus.emit(
+            "cache_write_failed",
+            owner=info.get("owner"),
+            path=info.get("path"),
+            error=info.get("error"),
+            error_type=info.get("error_type"),
+        )
+    else:
+        bus.emit(
+            "cache_corrupt_detected",
+            owner=info.get("owner"),
+            path=info.get("path"),
+            error=info.get("error"),
+            error_type=info.get("error_type"),
+            quarantined=info.get("quarantined"),
+        )
 
 
 def _forward(info: dict) -> None:
@@ -155,3 +202,50 @@ def quarantine_artifact(
         owner=owner, path=path, error=error, quarantined=dest is not None
     )
     return dest
+
+
+def load_artifact(
+    path: Path,
+    cache_root: str | Path,
+    *,
+    owner: str,
+    accept: Callable[[object], T],
+    fault_site: str | None = None,
+) -> T | None:
+    """Load one enveloped artifact; ``None`` on a miss of any kind.
+
+    ``accept`` turns the verified payload into the owner's value and
+    raises a :data:`~repro.ioutils.CACHE_DECODE_ERRORS` member (a
+    ``ValueError`` for a schema or token mismatch, a ``KeyError`` for a
+    missing field) when the payload is stale.  A corrupt artifact is
+    quarantined; a stale one is unlinked.  ``fault_site`` threads the raw
+    bytes through a chaos fault point before decoding.
+    """
+    if not path.exists():
+        return None
+    try:
+        payload = read_envelope(path, fault_site=fault_site)
+    except CACHE_DECODE_ERRORS as exc:
+        quarantine_artifact(path, cache_root, owner=owner, error=exc)
+        return None
+    try:
+        return accept(payload)
+    except CACHE_DECODE_ERRORS as exc:
+        logger.warning(
+            "discarding stale %s cache artifact %s (%s: %s)",
+            owner, path, type(exc).__name__, exc,
+        )
+        path.unlink(missing_ok=True)
+        return None
+
+
+def save_artifact(
+    path: Path, payload: object, *, owner: str, schema: int
+) -> bool:
+    """Write one enveloped artifact; ``False`` (reported) if it failed."""
+    try:
+        write_envelope(path, payload, schema=schema)
+    except CacheWriteError as exc:
+        report_write_failure(owner=owner, path=path, error=exc)
+        return False
+    return True

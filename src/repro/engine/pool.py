@@ -40,7 +40,7 @@ from ..bench.harness import (
     SweepResult,
 )
 from ..core.profiling import BlockProfile, ProfileStore
-from ..durability.report import set_durability_listener
+from ..durability.report import forward_to_bus
 from ..machine.presets import get_preset
 from ..resilience.faults import current_plan, fault_point
 from .events import EventBus, Reporter
@@ -77,7 +77,6 @@ class SweepEngine:
         backoff_cap_s: float = 2.0,
         task_fn: TaskFn = run_shard_task,
         reporters: tuple[Reporter, ...] | list = (),
-        warm_profiles: bool | None = None,
     ) -> None:
         self.config = config
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
@@ -100,13 +99,11 @@ class SweepEngine:
             plan.on_inject = lambda ev: self.bus.emit("fault_injected", **ev)
         # Durability wiring (same last-wins convention): corrupt-cache
         # detections and degraded writes surface on this bus too.
-        set_durability_listener(self._emit_durability)
+        forward_to_bus(self.bus)
         # Warm-starting only makes sense for the real task function — the
         # fault-injection stubs the tests substitute never calibrate, and
         # paying for calibration up front would only slow them down.
-        self.warm_profiles = (
-            (task_fn is run_shard_task) if warm_profiles is None else warm_profiles
-        )
+        self.warm_profiles = task_fn is run_shard_task
 
     # ------------------------------------------------------------------ #
     def run(self) -> SweepResult:
@@ -220,26 +217,6 @@ class SweepEngine:
         return min(
             self.backoff_cap_s, self.backoff_base_s * 2 ** (attempt - 2)
         )
-
-    def _emit_durability(self, info: dict) -> None:
-        """Forward durability incidents onto the engine's event bus."""
-        if info.get("kind") == "cache_write_failed":
-            self.bus.emit(
-                "cache_write_failed",
-                owner=info.get("owner"),
-                path=info.get("path"),
-                error=info.get("error"),
-                error_type=info.get("error_type"),
-            )
-        else:
-            self.bus.emit(
-                "cache_corrupt_detected",
-                owner=info.get("owner"),
-                path=info.get("path"),
-                error=info.get("error"),
-                error_type=info.get("error_type"),
-                quarantined=info.get("quarantined"),
-            )
 
     def _record_success(
         self,

@@ -2,12 +2,13 @@
 
 Completed shards live under ``<cache_dir>/shards/<config_fingerprint>/`` as
 ``shard_NNN.json``, written via tmp-file + ``os.replace`` inside a
-checksummed envelope (:func:`repro.ioutils.write_envelope`) so a killed
-sweep never leaves a truncated shard behind — and a damaged one is
-*detected*.  On resume the store is the source of truth: any shard that
-verifies and matches (schema and fingerprint) is served from disk, a
-corrupt one is moved to ``<cache_dir>/quarantine/`` (emitting
-``cache_corrupt_detected``) and simply recomputed.
+checksummed envelope (:func:`repro.durability.report.save_artifact`) so a
+killed sweep never leaves a truncated shard behind — and a damaged one is
+*detected*.  The store is the sweep's only on-disk form and the source of
+truth on every run: any shard that verifies and matches (schema and
+fingerprint) is served from disk, a corrupt one is moved to
+``<cache_dir>/quarantine/`` (emitting ``cache_corrupt_detected``), a stale
+one is unlinked, and either is simply recomputed.
 
 Shards that failed repeatedly are *quarantined*: a ``shard_NNN.quarantine``
 marker records the final error so an operator can inspect it, while the
@@ -18,7 +19,6 @@ success) — quarantine is a per-run verdict, not a permanent blacklist.
 
 from __future__ import annotations
 
-import logging
 import shutil
 from dataclasses import asdict
 from pathlib import Path
@@ -29,18 +29,10 @@ from ..bench.harness import (
     SweepConfig,
     matrix_sweep_from_payload,
 )
-from ..durability.report import quarantine_artifact, report_write_failure
-from ..ioutils import (
-    CACHE_DECODE_ERRORS,
-    CacheWriteError,
-    read_envelope,
-    remove_stale_tmp_files,
-    write_envelope,
-)
+from ..durability.report import load_artifact, save_artifact
+from ..ioutils import remove_stale_tmp_files
 
 __all__ = ["ShardStore", "SHARD_SCHEMA"]
-
-logger = logging.getLogger(__name__)
 
 #: Bump when the shard file layout changes (old shards are then ignored).
 SHARD_SCHEMA = 1
@@ -79,19 +71,13 @@ class ShardStore:
         crashes the sweep: the in-memory result is still good, the shard
         is simply recomputed on the next resume.
         """
-        path = self.shard_path(shard_id)
-        try:
-            write_envelope(path, {
-                "schema": SHARD_SCHEMA,
-                "fingerprint": self.fingerprint,
-                "shard": shard_id,
-                "elapsed_s": elapsed_s,
-                "matrix": asdict(matrix),
-            }, schema=SHARD_SCHEMA)
-        except CacheWriteError as exc:
-            report_write_failure(owner="shards", path=path, error=exc)
-            return False
-        return True
+        return save_artifact(self.shard_path(shard_id), {
+            "schema": SHARD_SCHEMA,
+            "fingerprint": self.fingerprint,
+            "shard": shard_id,
+            "elapsed_s": elapsed_s,
+            "matrix": asdict(matrix),
+        }, owner="shards", schema=SHARD_SCHEMA)
 
     def load(self, shard_id: int) -> MatrixSweep | None:
         """The shard's matrix sweep, or ``None`` if absent/corrupt/stale.
@@ -100,28 +86,16 @@ class ShardStore:
         evidence survives for ``repro fsck``); one that verifies but
         belongs to another schema or fingerprint is simply discarded.
         """
-        path = self.shard_path(shard_id)
-        if not path.exists():
-            return None
-        try:
-            payload = read_envelope(path)
-        except CACHE_DECODE_ERRORS as exc:
-            quarantine_artifact(
-                path, self.cache_root, owner="shards", error=exc
-            )
-            return None
-        try:
+        def accept(payload: dict) -> MatrixSweep:
             if (payload["schema"] != SHARD_SCHEMA
                     or payload["fingerprint"] != self.fingerprint):
                 raise ValueError("schema or fingerprint mismatch")
             return matrix_sweep_from_payload(payload["matrix"])
-        except CACHE_DECODE_ERRORS as exc:
-            logger.warning(
-                "discarding stale shard %s (%s: %s)",
-                path, type(exc).__name__, exc,
-            )
-            path.unlink(missing_ok=True)
-            return None
+
+        return load_artifact(
+            self.shard_path(shard_id), self.cache_root, owner="shards",
+            accept=accept,
+        )
 
     def completed_ids(self) -> list[int]:
         """Shard ids with a (plausibly valid) completed file, ascending."""
@@ -148,21 +122,19 @@ class ShardStore:
         error_type: str | None = None,
     ) -> None:
         """Record a shard's final failure (exception type + message) so an
-        operator can diagnose it from the marker alone."""
-        path = self.quarantine_path(shard_id)
-        try:
-            write_envelope(path, {
-                "schema": SHARD_SCHEMA,
-                "fingerprint": self.fingerprint,
-                "shard": shard_id,
-                "error": error,
-                "error_type": error_type,
-                "attempts": attempts,
-            }, schema=SHARD_SCHEMA)
-        except CacheWriteError as exc:
-            # The marker is diagnostics, not state: the sweep's own
-            # result already reports the shard as missing.
-            report_write_failure(owner="shards", path=path, error=exc)
+        operator can diagnose it from the marker alone.
+
+        A failed marker write is reported and otherwise ignored: the
+        marker is diagnostics, not state — the sweep's own result
+        already reports the shard as missing."""
+        save_artifact(self.quarantine_path(shard_id), {
+            "schema": SHARD_SCHEMA,
+            "fingerprint": self.fingerprint,
+            "shard": shard_id,
+            "error": error,
+            "error_type": error_type,
+            "attempts": attempts,
+        }, owner="shards", schema=SHARD_SCHEMA)
 
     def quarantined_ids(self) -> list[int]:
         if not self.root.is_dir():

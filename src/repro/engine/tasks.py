@@ -40,19 +40,14 @@ class ShardTask:
     )
 
 
-def plan_shards(
-    config: SweepConfig,
-    *,
-    profiles: "tuple[BlockProfile, ...]" = (),
-) -> tuple[ShardTask, ...]:
-    """Decompose ``config`` into its per-matrix shard tasks, suite order."""
+def plan_shards(config: SweepConfig) -> tuple[ShardTask, ...]:
+    """Decompose ``config`` into its per-matrix shard tasks, suite order.
+
+    The tasks carry no profiles; the engine attaches its warm-start set
+    with :func:`dataclasses.replace` once it knows there is work to do.
+    """
     return tuple(
-        ShardTask(
-            shard_id=e.idx,
-            name=e.name,
-            config=config,
-            profiles=profiles,
-        )
+        ShardTask(shard_id=e.idx, name=e.name, config=config)
         for e in config.entries()
     )
 

@@ -1,9 +1,10 @@
 """Shared filesystem helpers: atomic JSON writes and stale-tmp cleanup.
 
-Every persistent artifact in this package — the monolithic sweep cache, the
-engine's per-matrix shards, the advisor's recommendation entries, the
-calibrated machine profiles — reaches disk through :func:`atomic_write_json`,
-so readers only ever see a complete old file or a complete new one.  The
+Every persistent artifact in this package — the engine's per-matrix sweep
+shards, the advisor's recommendation entries, the calibrated machine
+profiles, the learned-model registry — reaches disk through the same
+tmp-file + rename writer as :func:`atomic_write_json`, so readers only
+ever see a complete old file or a complete new one.  The
 write goes to a pid-stamped ``<name>.<pid>-<seq>.tmp`` sibling first and is
 then renamed over the target; the per-process sequence number keeps
 concurrent threads writing the same target from sharing a tmp file.
@@ -20,11 +21,12 @@ Two failure modes used to leak those tmp files:
 Atomicity alone cannot detect content damage (a corrupting writer, disk
 rot, a hand-edited file), so artifacts additionally carry a checksummed
 envelope: :func:`write_envelope` / :func:`read_envelope` wrap
-:mod:`repro.durability.envelope` around the same atomic-write machinery,
-and :func:`append_envelope_lines` / :func:`read_envelope_lines` do the
-per-line equivalent for JSONL logs.  Write failures (``ENOSPC`` and
-friends) surface as the typed :class:`~repro.errors.CacheWriteError`, so
-cache owners degrade to serving from memory instead of crashing.
+:mod:`repro.durability.envelope` around the same atomic-write machinery;
+JSONL logs append pre-serialized (per-line enveloped) lines with
+:func:`append_jsonl_lines` and verify them with
+:func:`read_envelope_lines`.  Write failures (``ENOSPC`` and friends)
+surface as the typed :class:`~repro.errors.CacheWriteError`, so cache
+owners degrade to serving from memory instead of crashing.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .durability.envelope import (
     decode_envelope,
     decode_line,
     encode_envelope,
-    encode_line,
 )
 from .errors import CacheWriteError
 from .resilience.faults import fault_point
@@ -55,10 +56,7 @@ __all__ = [
     "write_envelope",
     "read_envelope",
     "read_envelope_lines",
-    "append_jsonl",
     "append_jsonl_lines",
-    "append_jsonl_many",
-    "append_envelope_lines",
     "remove_stale_tmp_files",
 ]
 
@@ -184,38 +182,15 @@ def read_envelope_lines(path: str | Path):
             yield lineno, None, exc
 
 
-def append_jsonl(path: str | Path, record: dict) -> int:
-    """Append ``record`` as one JSON line to ``path``; returns bytes written.
-
-    The line is serialized first and written with a single ``write`` call on
-    an ``O_APPEND`` handle, so concurrent appenders (threads or processes)
-    interleave whole lines, never fragments.  Readers tolerate a torn final
-    line from a hard crash by skipping lines that fail to parse — this is a
-    log, not a datastore, which is why the tmp-file + rename dance of
-    :func:`atomic_write_json` would be the wrong tool here.
-    """
-    return append_jsonl_many(path, (record,))
-
-
-def append_jsonl_many(path: str | Path, records) -> int:
-    """Append each of ``records`` as a JSON line; returns bytes written.
-
-    One ``open`` and one ``write`` for the whole batch — the amortized
-    shape behind a buffered log's flush.  Same whole-lines-only guarantee
-    as :func:`append_jsonl`.
-    """
-    return append_jsonl_lines(
-        path, [json.dumps(record, sort_keys=True) for record in records]
-    )
-
-
 def append_jsonl_lines(path: str | Path, lines) -> int:
     """Append pre-serialized JSON ``lines`` (no trailing newlines).
 
-    The serialize-once half of :func:`append_jsonl_many`: callers that
-    already hold each record's canonical JSON text (a buffered log doing
-    its own size accounting) append it without a second ``json.dumps``
-    pass.  Returns bytes written.
+    The batch goes down in one ``write`` on an ``O_APPEND`` handle, so
+    concurrent appenders (threads or processes) interleave whole lines,
+    never fragments.  Readers skip a torn final line from a hard crash —
+    this is a log, not a datastore, so the tmp-file + rename dance of
+    :func:`atomic_write_json` would be the wrong tool.  Returns bytes
+    written.
     """
     path = Path(path)
     text = "".join(line + "\n" for line in lines)
@@ -234,17 +209,6 @@ def append_jsonl_lines(path: str | Path, lines) -> int:
             f"log append to {path} failed: {exc}"
         ) from exc
     return len(text.encode("utf-8"))
-
-
-def append_envelope_lines(path: str | Path, json_lines) -> int:
-    """Append pre-serialized JSON lines, each wrapped in a line envelope.
-
-    The JSONL counterpart of :func:`write_envelope`:
-    :func:`read_envelope_lines` verifies each line's CRC on the way back,
-    so a torn append or a flipped byte is detected and skipped rather
-    than parsed into a wrong record.  Returns bytes written.
-    """
-    return append_jsonl_lines(path, [encode_line(line) for line in json_lines])
 
 
 def _writer_pid(name: str) -> int | None:

@@ -170,7 +170,7 @@ class TraceLog:
         Pure state-in/state-out over ``(active, active_size)`` — callers
         hold the lock and commit the returned state.  Consecutive records
         destined for the same segment go down in one ``open`` + ``write``
-        (:func:`append_jsonl_many`), so the flush cost is amortized over
+        (:func:`append_jsonl_lines`), so the flush cost is amortized over
         the whole batch.
         """
         if not buffer:

@@ -37,7 +37,7 @@ from ..core.learned import feature_vector
 from ..core.models import MODELS
 from ..core.profiling import ProfileCache, ProfileStore
 from ..core.selection import rank_with_model
-from ..durability.report import set_durability_listener
+from ..durability.report import forward_to_bus
 from ..engine.events import EventBus
 from ..errors import ServiceUnavailableError
 from ..formats.coo import COOMatrix
@@ -323,7 +323,7 @@ class AdvisorService:
         # Durability wiring (last-wins, like FaultPlan.on_inject): cache
         # corruption detections and degraded writes from any owner in
         # this process land on the service bus and therefore in /stats.
-        set_durability_listener(self._emit_durability)
+        forward_to_bus(self.bus)
         # Online learning (docs/learning.md): needs the persistent cache
         # dir for the trace log and model registry.
         self.learn = None
@@ -628,26 +628,6 @@ class AdvisorService:
                     type(exc).__name__, exc,
                 )
         return rec
-
-    def _emit_durability(self, info: dict) -> None:
-        """Forward durability incidents onto the service's event bus."""
-        if info.get("kind") == "cache_write_failed":
-            self.bus.emit(
-                "cache_write_failed",
-                owner=info.get("owner"),
-                path=info.get("path"),
-                error=info.get("error"),
-                error_type=info.get("error_type"),
-            )
-        else:
-            self.bus.emit(
-                "cache_corrupt_detected",
-                owner=info.get("owner"),
-                path=info.get("path"),
-                error=info.get("error"),
-                error_type=info.get("error_type"),
-                quarantined=info.get("quarantined"),
-            )
 
     # ------------------------------ stats ------------------------------ #
     def _bump(self, counter: str) -> None:

@@ -12,33 +12,25 @@ The *profile token* is a content hash of the calibrated machine profile
 against everything that is not in the key already: a re-calibrated or
 differently-shaped machine profile — new simulator, changed cost tables,
 different machine preset — yields a different token, and every stale entry
-is invalidated without any manual schema bookkeeping.  Corrupt entries are
-discarded with a warning and simply recomputed.
+is invalidated without any manual schema bookkeeping.  Loads and saves go
+through :mod:`repro.durability.report`: a corrupt entry is quarantined, a
+stale one unlinked, and either is simply recomputed.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import shutil
 from hashlib import sha256
 from pathlib import Path
 
 from ..bench.harness import DEFAULT_CACHE_DIR
 from ..core.profiling import BlockProfile
-from ..durability.report import quarantine_artifact, report_write_failure
-from ..ioutils import (
-    CACHE_DECODE_ERRORS,
-    CacheWriteError,
-    read_envelope,
-    remove_stale_tmp_files,
-    write_envelope,
-)
+from ..durability.report import load_artifact, save_artifact
+from ..ioutils import remove_stale_tmp_files
 from ..resilience.faults import fault_point
 
 __all__ = ["AdvisorStore", "profile_token", "ADVISOR_SCHEMA"]
-
-logger = logging.getLogger(__name__)
 
 #: Bump when the entry layout changes (old entries are then ignored).
 ADVISOR_SCHEMA = 1
@@ -93,18 +85,12 @@ class AdvisorStore:
         treats the save as best-effort) instead of crashing a worker.
         """
         fault_point("serve.store.save")
-        path = self.path(key)
-        try:
-            write_envelope(path, {
-                "schema": ADVISOR_SCHEMA,
-                "fingerprint": fingerprint,
-                "profile_token": token,
-                "recommendation": payload,
-            }, schema=ADVISOR_SCHEMA)
-        except CacheWriteError as exc:
-            report_write_failure(owner="advisor", path=path, error=exc)
-            return False
-        return True
+        return save_artifact(self.path(key), {
+            "schema": ADVISOR_SCHEMA,
+            "fingerprint": fingerprint,
+            "profile_token": token,
+            "recommendation": payload,
+        }, owner="advisor", schema=ADVISOR_SCHEMA)
 
     def load(self, key: str, *, token: str) -> dict | None:
         """The cached recommendation payload, or ``None`` if absent/stale.
@@ -113,29 +99,17 @@ class AdvisorStore:
         that verifies but carries another schema or profile token is
         stale and simply discarded — both recompute on the next advise.
         """
-        path = self.path(key)
-        if not path.exists():
-            return None
-        try:
-            entry = read_envelope(path, fault_site="serve.store.load")
-        except CACHE_DECODE_ERRORS as exc:
-            quarantine_artifact(
-                path, self.cache_root, owner="advisor", error=exc
-            )
-            return None
-        try:
+        def accept(entry: dict) -> dict:
             if entry["schema"] != ADVISOR_SCHEMA:
                 raise ValueError("schema mismatch")
             if entry["profile_token"] != token:
                 raise ValueError("stale machine profile")
             return entry["recommendation"]
-        except CACHE_DECODE_ERRORS as exc:
-            logger.warning(
-                "discarding stale advisor cache entry %s (%s: %s)",
-                path, type(exc).__name__, exc,
-            )
-            path.unlink(missing_ok=True)
-            return None
+
+        return load_artifact(
+            self.path(key), self.cache_root, owner="advisor", accept=accept,
+            fault_site="serve.store.load",
+        )
 
     def entries(self) -> list[Path]:
         """Every cached entry file, in deterministic (sorted) order."""

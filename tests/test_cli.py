@@ -10,6 +10,7 @@ import pytest
 
 from repro import cli
 from repro.bench.harness import SweepConfig, run_sweep
+from repro.engine import ShardStore
 
 from .test_experiments import MINI_SUITE
 
@@ -88,44 +89,48 @@ class TestColind:
 
 
 class TestSweepDriven:
+    #: The CLI config the seeded shards belong to: suite indices 1-4 in
+    #: the default precisions and thread counts.
+    MATRICES = ["--matrices", "1,2,3,4"]
+
     @pytest.fixture()
-    def tiny_cache(self, tmp_path, monkeypatch):
-        """Pre-populate the cache dir with a mini-suite sweep so the CLI
-        does not run the real 30-matrix sweep."""
-        config = SweepConfig()
-        sweep = run_sweep(
-            MINI_SUITE,
-            SweepConfig(precisions=("sp", "dp"), thread_counts=(1, 2, 4)),
-        )
-        sweep.config = config  # masquerade as the default config
-        path = tmp_path / f"sweep_{config.fingerprint()}.json"
-        sweep.save(path)
+    def tiny_cache(self, tmp_path):
+        """Seed the shard store with a mini-suite sweep under the config
+        of ``--matrices 1,2,3,4``, so the CLI serves it from the shards
+        instead of sweeping the real matrices."""
+        sweep = run_sweep(MINI_SUITE, SweepConfig())
+        store = ShardStore(tmp_path, SweepConfig(suite_indices=(1, 2, 3, 4)))
+        for matrix in sweep.matrices:
+            assert store.save(matrix.idx, matrix)
         return tmp_path
 
+    def _main(self, *experiments, cache_dir):
+        return cli.main(
+            [*experiments, *self.MATRICES, "--cache-dir", str(cache_dir)]
+        )
+
     def test_table2_from_cache(self, capsys, tiny_cache):
-        assert cli.main(["table2", "--cache-dir", str(tiny_cache)]) == 0
+        assert self._main("table2", cache_dir=tiny_cache) == 0
         out = capsys.readouterr().out
         assert "Table II" in out
 
     def test_multiple_experiments(self, capsys, tiny_cache):
-        assert cli.main(
-            ["table3", "fig2", "table4", "--cache-dir", str(tiny_cache)]
-        ) == 0
+        assert self._main("table3", "fig2", "table4", cache_dir=tiny_cache) == 0
         out = capsys.readouterr().out
         assert "Table III" in out
         assert "Figure 2" in out
         assert "Table IV" in out
 
     def test_fig3_fig4_both_precisions(self, capsys, tiny_cache):
-        assert cli.main(["fig3", "fig4", "--cache-dir", str(tiny_cache)]) == 0
+        assert self._main("fig3", "fig4", cache_dir=tiny_cache) == 0
         out = capsys.readouterr().out
         assert "Figure 3 (sp)" in out
         assert "Figure 3 (dp)" in out
         assert "Figure 4 (sp)" in out
 
     def test_sweep_reports_stats(self, capsys, tiny_cache):
-        assert cli.main(["sweep", "--cache-dir", str(tiny_cache)]) == 0
-        assert "sweep ready" in capsys.readouterr().out
+        assert self._main("sweep", cache_dir=tiny_cache) == 0
+        assert "sweep ready: 4 matrices" in capsys.readouterr().out
 
 
 class TestAdviseCLI:
@@ -249,13 +254,17 @@ class TestEngineSmoke:
         assert finished == [1, 27, 30]
         assert events[0]["jobs"] == 2
 
-        # The monolithic cache was assembled; a second invocation is a
-        # pure cache hit (no engine events appended).
-        config = SweepConfig(
-            suite_indices=(1, 27, 30), precisions=("dp",), thread_counts=(1,)
-        )
-        assert (tmp_path / f"sweep_{config.fingerprint()}.json").exists()
+        # A second invocation is served from the shards: every shard is
+        # cached, none runs.
         n_lines = len(events)
         assert cli.main([*self.ARGS, "--cache-dir", str(tmp_path),
                          "--run-log", str(run_log)]) == 0
-        assert len(run_log.read_text().splitlines()) == n_lines
+        rerun = [
+            json.loads(l) for l in run_log.read_text().splitlines()[n_lines:]
+        ]
+        kinds = [e["event"] for e in rerun]
+        assert sorted(
+            e["shard"] for e in rerun if e["event"] == "shard_cached"
+        ) == [1, 27, 30]
+        assert "shard_start" not in kinds
+        assert "shard_finish" not in kinds

@@ -8,7 +8,8 @@ Four layers of assurance, bottom up:
   input that decodes to wrong data;
 * **quarantine + reporting**: corrupt artifacts move (not vanish), keep a
   ``.why.json`` sidecar, and forward ``cache_corrupt_detected`` /
-  ``cache_write_failed`` through the process-global listener;
+  ``cache_write_failed`` through the process-global listener — the same
+  way in the advisor, shard and profile stores;
 * **fsck**: detect, repair, partition walk and the oldest-first GC with
   its never-collect set (profiles, ``current.json``, the live model);
 * **the torture invariant** (the acceptance pin): 40 seeded
@@ -26,7 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.harness import MatrixSweep, SweepConfig
 from repro.cli import main as cli_main
+from repro.core.profiling import BlockProfile, ProfileStore
 from repro.durability.envelope import (
     ENVELOPE_MAGIC,
     EnvelopeError,
@@ -47,6 +50,7 @@ from repro.durability.report import (
     set_durability_listener,
 )
 from repro.durability.torture import OWNERS, run_torture
+from repro.engine import ShardStore
 from repro.errors import CacheWriteError, ReproError
 from repro.fleet.supervisor import (
     MAX_BACKOFF_S,
@@ -54,10 +58,12 @@ from repro.fleet.supervisor import (
     FleetConfig,
     FleetSupervisor,
 )
+from repro.machine.presets import get_preset
+from repro.serve.store import AdvisorStore
+from repro.types import Impl, Precision
 from repro.ioutils import (
     CACHE_DECODE_ERRORS,
-    append_envelope_lines,
-    append_jsonl,
+    append_jsonl_lines,
     atomic_write_json,
     read_envelope,
     read_envelope_lines,
@@ -209,8 +215,8 @@ class TestEnvelopeIo:
 
     def test_read_envelope_lines_mixed(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        append_envelope_lines(path, [json.dumps({"i": 1})])
-        append_jsonl(path, {"i": 2})  # legacy plain line
+        append_jsonl_lines(path, [encode_line(json.dumps({"i": 1}))])
+        append_jsonl_lines(path, [json.dumps({"i": 2})])  # legacy plain line
         with path.open("a") as fh:
             fh.write("%e1%00000000%{\"i\": 3}\n")  # wrong CRC: torn
         entries = list(read_envelope_lines(path))
@@ -283,7 +289,7 @@ class TestQuarantine:
         set_durability_listener(bad_listener)
         try:
             info = report_corruption(
-                owner="sweep", path="p", error=ValueError("x"),
+                owner="shards", path="p", error=ValueError("x"),
                 quarantined=False,
             )
             assert info["kind"] == "cache_corrupt_detected"
@@ -292,23 +298,120 @@ class TestQuarantine:
 
 
 # --------------------------------------------------------------------- #
+# The load/save protocol every cache owner shares
+# --------------------------------------------------------------------- #
+
+def _advisor_store(root):
+    store = AdvisorStore(root)
+    key = AdvisorStore.key("fp", "opts", "tok")
+    return (
+        store.path(key),
+        lambda: store.save(key, {"best": "csr"}, fingerprint="fp", token="tok"),
+        lambda: store.load(key, token="tok"),
+    )
+
+
+def _shard_store(root):
+    store = ShardStore(root, SweepConfig(suite_indices=(1,)))
+    matrix = MatrixSweep(
+        idx=1, name="dense", domain="test", geometry=False, special=False,
+        nrows=1, ncols=1, nnz=1,
+    )
+    return (
+        store.shard_path(1),
+        lambda: store.save(1, matrix),
+        lambda: store.load(1),
+    )
+
+
+def _profile_store(root):
+    store = ProfileStore(root)
+    machine = get_preset("core2-xeon-2.66")
+    key = (("csr", None), Impl.SCALAR)
+    profile = BlockProfile(
+        machine_name=machine.name, precision=Precision.DP,
+        t_b={key: 1e-9}, nof={key: 1.0},
+    )
+    return (
+        store.path(machine, Precision.DP, False),
+        lambda: store.store_profile(machine, "dp", profile),
+        lambda: store.load_cached(machine, "dp"),
+    )
+
+
+#: owner name -> (root -> (artifact path, save(), load())).
+OWNER_STORES = {
+    "advisor": _advisor_store,
+    "shards": _shard_store,
+    "profiles": _profile_store,
+}
+
+
+@pytest.mark.parametrize("owner", sorted(OWNER_STORES))
+class TestOwnerProtocol:
+    """Verify, quarantine, discard and report the same way in every owner."""
+
+    def test_byte_flip_is_quarantined(self, tmp_path, owner, listener_events):
+        path, save, load = OWNER_STORES[owner](tmp_path)
+        assert save() is True
+        raw = bytearray(path.read_bytes())
+        raw[len(raw) // 2] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        assert load() is None
+        assert not path.exists()
+        dest = tmp_path / QUARANTINE_DIR / path.name
+        assert dest.read_bytes() == bytes(raw)
+        why = read_envelope(dest.with_name(dest.name + ".why.json"))
+        assert why["owner"] == owner
+        assert why["original_path"] == str(path)
+        assert [(e["kind"], e["owner"], e["quarantined"])
+                for e in listener_events] == [
+            ("cache_corrupt_detected", owner, True)
+        ]
+
+    def test_wrong_schema_is_unlinked(self, tmp_path, owner, listener_events):
+        path, save, load = OWNER_STORES[owner](tmp_path)
+        assert save() is True
+        payload = read_envelope(path)
+        payload["schema"] += 1
+        write_envelope(path, payload, schema=payload["schema"])
+        assert load() is None
+        assert not path.exists()
+        assert not (tmp_path / QUARANTINE_DIR).exists()
+        assert listener_events == []
+
+    def test_failed_write_returns_false(self, tmp_path, owner, listener_events):
+        path, save, load = OWNER_STORES[owner](tmp_path)
+        # A file where the owner's directory belongs: every write fails.
+        path.parent.parent.mkdir(parents=True, exist_ok=True)
+        path.parent.write_text("not a directory")
+        assert save() is False
+        assert [(e["kind"], e["owner"], e["path"])
+                for e in listener_events] == [
+            ("cache_write_failed", owner, str(path))
+        ]
+        assert load() is None
+
+
+# --------------------------------------------------------------------- #
 # fsck: detect, repair, partitions, GC
 # --------------------------------------------------------------------- #
 
 def _damaged_tree(root, monkeypatch):
     """A cache tree with one of each problem plus one legacy artifact."""
-    write_envelope(root / "sweep_1.json", {"schema": 1, "ok": True})
     advisor = root / "advisor"
-    advisor.mkdir()
+    write_envelope(advisor / "rec_ok.json", {"schema": 1, "ok": True})
     (advisor / "rec_deadbeef.json").write_bytes(b"\x00 not json \xff")
     profiles = root / "profiles"
     profiles.mkdir()
     atomic_write_json(profiles / "profile_old.json", {"schema": 1})
     trace = root / "learn" / "trace-000001.jsonl"
-    append_envelope_lines(trace, [json.dumps({"i": 1}), json.dumps({"i": 2})])
+    append_jsonl_lines(trace, [
+        encode_line(json.dumps({"i": 1})), encode_line(json.dumps({"i": 2})),
+    ])
     with trace.open("a") as fh:
         fh.write('%e1%00000000%{"i": 3}\n')
-    (root / "sweep_2.json.12345-0.tmp").write_text("half a write")
+    (advisor / "rec_2.json.12345-0.tmp").write_text("half a write")
     # Deterministic "writer is gone" regardless of host pid recycling.
     monkeypatch.setattr("repro.durability.fsck._pid_alive", lambda pid: False)
 
@@ -331,7 +434,7 @@ class TestFsck:
         assert len(report.unrepaired) == 3
         # Read-only: the damaged files are all still in place.
         assert (tmp_path / "advisor" / "rec_deadbeef.json").exists()
-        assert (tmp_path / "sweep_2.json.12345-0.tmp").exists()
+        assert (tmp_path / "advisor" / "rec_2.json.12345-0.tmp").exists()
         assert not (tmp_path / QUARANTINE_DIR).exists()
 
     def test_repair_heals_every_problem(self, tmp_path, monkeypatch):
@@ -349,7 +452,7 @@ class TestFsck:
             if e is None
         ]
         assert records == [{"i": 1}, {"i": 2}]
-        assert not (tmp_path / "sweep_2.json.12345-0.tmp").exists()
+        assert not (tmp_path / "advisor" / "rec_2.json.12345-0.tmp").exists()
         # A second, read-only pass finds no problems at all.
         after = fsck_tree(tmp_path)
         assert after.clean
@@ -385,26 +488,26 @@ class TestFsck:
         write_envelope(models / "model_live.json", {"schema": 1})
         write_envelope(models / "model_orphan.json", {"schema": 1})
         write_envelope(models / "current.json", {"schema": 1, "version": "live"})
-        sweeps = [tmp_path / f"sweep_{i}.json" for i in (1, 2, 3)]
-        for i, path in enumerate(sweeps):
+        recs = [tmp_path / "advisor" / f"rec_{i}.json" for i in (1, 2, 3)]
+        for i, path in enumerate(recs):
             write_envelope(path, {"schema": 1, "i": i})
             os.utime(path, ns=(1_000_000_000 * (i + 1),) * 2)
         os.utime(models / "model_orphan.json", ns=(500_000_000, 500_000_000))
 
-        # Bound low enough to force some eviction but keep the newest sweep.
+        # Bound low enough to force some eviction but keep the newest entry.
         keep = (
             (models / "current.json").stat().st_size
             + (models / "model_live.json").stat().st_size
             + (tmp_path / "profiles" / "profile_a.json").stat().st_size
-            + sweeps[2].stat().st_size
+            + recs[2].stat().st_size
         )
         report = fsck_tree(tmp_path, gc_max_bytes=keep)
         removed = [f.path for f in report.findings if f.kind == "gc"]
-        # Oldest first: the orphan model (oldest), then sweeps 1 and 2.
+        # Oldest first: the orphan model (oldest), then entries 1 and 2.
         assert removed == [
-            str(models / "model_orphan.json"), str(sweeps[0]), str(sweeps[1]),
+            str(models / "model_orphan.json"), str(recs[0]), str(recs[1]),
         ]
-        assert sweeps[2].exists()
+        assert recs[2].exists()
         assert (models / "model_live.json").exists()
         assert (models / "current.json").exists()
         assert (tmp_path / "profiles" / "profile_a.json").exists()
@@ -415,15 +518,16 @@ class TestFsck:
         models = tmp_path / "learn" / "models"
         write_envelope(models / "model_live.json", {"schema": 1})
         write_envelope(models / "current.json", {"schema": 1, "version": "live"})
-        write_envelope(tmp_path / "sweep_1.json", {"schema": 1})
+        rec = tmp_path / "advisor" / "rec_1.json"
+        write_envelope(rec, {"schema": 1})
         fsck_tree(tmp_path, gc_max_bytes=0)
-        assert not (tmp_path / "sweep_1.json").exists()
+        assert not rec.exists()
         assert (tmp_path / "profiles" / "profile_a.json").exists()
         assert (models / "model_live.json").exists()
         assert (models / "current.json").exists()
 
     def test_report_payload_shape(self, tmp_path):
-        write_envelope(tmp_path / "sweep_1.json", {"schema": 1})
+        write_envelope(tmp_path / "advisor" / "rec_1.json", {"schema": 1})
         payload = fsck_tree(tmp_path).to_payload()
         assert payload["clean"] is True
         assert payload["files_checked"] == 1
@@ -433,13 +537,14 @@ class TestFsck:
 
 class TestFsckCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        write_envelope(tmp_path / "sweep_1.json", {"schema": 1})
+        write_envelope(tmp_path / "advisor" / "rec_1.json", {"schema": 1})
         rc = cli_main(["fsck", "--cache-dir", str(tmp_path)])
         assert rc == 0
         assert "clean" in capsys.readouterr().out
 
     def test_problems_exit_one_until_repaired(self, tmp_path, capsys):
-        (tmp_path / "sweep_1.json").write_bytes(b"\x00 torn")
+        (tmp_path / "advisor").mkdir()
+        (tmp_path / "advisor" / "rec_1.json").write_bytes(b"\x00 torn")
         assert cli_main(["fsck", "--cache-dir", str(tmp_path)]) == 1
         assert cli_main(
             ["fsck", "--cache-dir", str(tmp_path), "--repair"]

@@ -19,6 +19,7 @@ from repro.bench import (
     table4,
 )
 from repro.bench.report import render_series, render_table
+from repro.engine import ShardStore
 from repro.matrices import generators as g
 from repro.matrices.suite import SuiteEntry
 
@@ -74,10 +75,17 @@ class TestSweepData:
             mini_sweep.matrix("nope")
 
     def test_save_load_round_trip(self, mini_sweep, tmp_path):
-        path = tmp_path / "sweep.json"
-        mini_sweep.save(path)
-        loaded = SweepResult.load(path)
-        assert loaded.config == mini_sweep.config
+        # The shard store is the sweep's on-disk form: every matrix comes
+        # back record for record, and so does the whole sweep's data.
+        store = ShardStore(tmp_path, mini_sweep.config)
+        for m in mini_sweep.matrices:
+            assert store.save(m.idx, m)
+        loaded = SweepResult(
+            config=mini_sweep.config,
+            matrices=[store.load(m.idx) for m in mini_sweep.matrices],
+            elapsed_s=0.0,
+        )
+        assert loaded.canonical_json() == mini_sweep.canonical_json()
         orig = mini_sweep.matrix("mini-fem").records
         back = loaded.matrix("mini-fem").records
         assert len(orig) == len(back)

@@ -1,5 +1,6 @@
 """Tests for sweep harness internals and Table II config pools."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,10 +11,10 @@ from repro.bench.harness import (
     SweepConfig,
     SweepRecord,
     SweepResult,
-    atomic_write_json,
     load_or_run_sweep,
 )
 from repro.core import Candidate, select_with_model
+from repro.engine import ShardStore
 from repro.types import Impl
 
 
@@ -132,36 +133,6 @@ def _stub_result(config):
 
 
 class TestSweepResultPersistence:
-    def test_save_is_atomic(self, tmp_path):
-        path = tmp_path / "nested" / "sweep.json"
-        _stub_result(SweepConfig()).save(path)
-        assert path.exists()
-        assert list(path.parent.glob("*.tmp")) == []
-
-    def test_roundtrip_preserves_records_and_missing(self, tmp_path):
-        result = _stub_result(SweepConfig(suite_indices=(1,)))
-        result.missing = [27]
-        path = tmp_path / "sweep.json"
-        result.save(path)
-        loaded = SweepResult.load(path)
-        assert loaded.canonical_json() == result.canonical_json()
-        assert loaded.missing == [27]
-        assert loaded.config.suite_indices == (1,)
-
-    def test_load_pre_missing_schema(self, tmp_path):
-        # Caches written before the engine existed have no "missing" key.
-        result = _stub_result(SweepConfig())
-        path = tmp_path / "sweep.json"
-        result.save(path)
-        from repro.ioutils import read_envelope
-
-        payload = read_envelope(path)
-        del payload["missing"]
-        # Rewritten as legacy plain JSON on purpose: pre-envelope caches
-        # must keep loading through the read-through fallback.
-        atomic_write_json(path, payload)
-        assert SweepResult.load(path).missing == []
-
     def test_canonical_json_ignores_elapsed(self):
         a = _stub_result(SweepConfig())
         b = _stub_result(SweepConfig())
@@ -169,63 +140,61 @@ class TestSweepResultPersistence:
         assert a.canonical_json() == b.canonical_json()
 
 
+#: Real sweeps small enough to run in well under a second: dense (suite
+#: index 1), alone or with stomach (30), in one precision and thread count.
+SMALL = SweepConfig(
+    precisions=("dp",), thread_counts=(1,), max_block_elems=4,
+    suite_indices=(1,),
+)
+SMALL_PAIR = dataclasses.replace(SMALL, suite_indices=(1, 30))
+
+
+def _events(run_log, kind):
+    return [
+        e for e in map(json.loads, run_log.read_text().splitlines())
+        if e["event"] == kind
+    ]
+
+
+class TestShardServedSweep:
+    """The shard store is the sweep's only cache."""
+
+    def test_fresh_recomputes_a_completed_config(self, tmp_path):
+        load_or_run_sweep(SMALL, cache_dir=tmp_path)
+        log = tmp_path / "fresh.jsonl"
+        result = load_or_run_sweep(
+            SMALL, cache_dir=tmp_path, resume=False, run_log=log
+        )
+        assert [e["shard"] for e in _events(log, "shard_finish")] == [1]
+        assert _events(log, "shard_cached") == []
+        assert result.matrices[0].name == "dense"
+
+
 class TestCorruptCacheRecovery:
-    @pytest.fixture()
-    def engine_spy(self, monkeypatch):
-        """Replace the engine with a stub so no real sweep runs."""
-        import repro.engine.pool as pool_mod
-
-        calls = []
-
-        class FakeEngine:
-            def __init__(self, config, **kwargs):
-                calls.append(config)
-                self.config = config
-
-            def run(self):
-                return _stub_result(self.config)
-
-        monkeypatch.setattr(pool_mod, "SweepEngine", FakeEngine)
-        return calls
-
-    def test_valid_cache_short_circuits(self, tmp_path, engine_spy):
-        config = SweepConfig()
-        path = tmp_path / f"sweep_{config.fingerprint()}.json"
-        _stub_result(config).save(path)
-        result = load_or_run_sweep(config, cache_dir=tmp_path)
-        assert result.matrices[0].name == "stub"
-        assert engine_spy == []  # engine never constructed
+    def test_valid_cache_short_circuits(self, tmp_path):
+        # A completed config is served from its shards: every shard is
+        # cached, none starts, and the data are the first run's.
+        first = load_or_run_sweep(
+            SMALL_PAIR, cache_dir=tmp_path, run_log=tmp_path / "run1.jsonl"
+        )
+        log = tmp_path / "run2.jsonl"
+        second = load_or_run_sweep(SMALL_PAIR, cache_dir=tmp_path, run_log=log)
+        assert [e["shard"] for e in _events(log, "shard_cached")] == [1, 30]
+        assert _events(log, "shard_start") == []
+        assert second.canonical_json() == first.canonical_json()
 
     @pytest.mark.parametrize("garbage", [
         "", "{truncated", '{"config": {}}', '{"matrices": "nope"}',
     ])
-    def test_corrupt_cache_reruns(self, tmp_path, engine_spy, garbage, caplog):
-        config = SweepConfig()
-        path = tmp_path / f"sweep_{config.fingerprint()}.json"
-        path.write_text(garbage)
-        with caplog.at_level("WARNING", logger="repro.bench.harness"):
-            result = load_or_run_sweep(config, cache_dir=tmp_path)
-        assert len(engine_spy) == 1
-        assert result.elapsed_s == 1.0
-        assert any("corrupt" in r.message for r in caplog.records)
-        # The rerun rewrote a valid cache file.
-        assert SweepResult.load(path).matrices[0].name == "stub"
-
-    def test_partial_result_not_cached(self, tmp_path, monkeypatch):
-        import repro.engine.pool as pool_mod
-
-        class PartialEngine:
-            def __init__(self, config, **kwargs):
-                self.config = config
-
-            def run(self):
-                result = _stub_result(self.config)
-                result.missing = [27]
-                return result
-
-        monkeypatch.setattr(pool_mod, "SweepEngine", PartialEngine)
-        config = SweepConfig()
-        result = load_or_run_sweep(config, cache_dir=tmp_path)
-        assert result.missing == [27]
-        path = tmp_path / f"sweep_{config.fingerprint()}.json"
-        assert not path.exists()
+    def test_corrupt_cache_reruns(self, tmp_path, garbage):
+        store = ShardStore(tmp_path, SMALL)
+        store.save(1, _stub_result(SMALL).matrices[0])
+        store.shard_path(1).write_text(garbage)
+        result = load_or_run_sweep(SMALL, cache_dir=tmp_path)
+        assert result.matrices[0].name == "dense"
+        # Bytes that do not parse are kept as evidence; a payload that
+        # parses but is no shard of this config is stale and dropped.
+        quarantined = tmp_path / "quarantine" / "shard_001.json"
+        assert quarantined.exists() == (garbage in ("", "{truncated"))
+        # The rerun rewrote a valid shard.
+        assert store.load(1).name == "dense"

@@ -222,7 +222,9 @@ class TestEngineWarmStart:
 
         monkeypatch.setattr(profiling, "profile_machine", _boom, raising=True)
         monkeypatch.setattr(tasks, "_PROFILE_CACHE", ProfileCache())
-        task = tasks.plan_shards(self._config(), profiles=(profile_dp,))[0]
+        task = dataclasses.replace(
+            tasks.plan_shards(self._config())[0], profiles=(profile_dp,)
+        )
         matrix = tasks.run_shard_task(task)
         assert matrix.records
 
@@ -230,7 +232,7 @@ class TestEngineWarmStart:
         from repro.engine.tasks import plan_shards
 
         bare = plan_shards(self._config())[0]
-        warm = plan_shards(self._config(), profiles=(profile_dp,))[0]
+        warm = dataclasses.replace(bare, profiles=(profile_dp,))
         assert bare == warm
         assert hash(bare) == hash(warm)
 
