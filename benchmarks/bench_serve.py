@@ -1,6 +1,7 @@
 """Fleet serving benchmark: single worker vs a 4-worker sharded fleet.
 
-Drives the deterministic traffic-replay harness (:mod:`repro.fleet`)
+Runs the deterministic traffic-replay harness through
+:func:`repro.fleet.drive` (the same driver as ``repro loadtest``)
 against two topologies, over real sockets:
 
 * **single** — one ``repro serve`` worker, hit directly (the pre-fleet
@@ -10,7 +11,7 @@ against two topologies, over real sockets:
 
 Both replay the *same* seeded steady mix (equal ``sequence_sha256`` is
 asserted), then the fleet additionally runs the chaos mix — every worker
-under the PR 5 fault plan, one worker SIGKILLed halfway through — and
+under the chaos fault plan, one worker SIGKILLed halfway through — and
 must keep every response inside the documented {200, 503, 504} budget.
 
 Results land in ``BENCH_serve.json`` (checked in at the repo root).
@@ -71,84 +72,23 @@ TIMING_KEYS = (
 )
 
 
-def _drive_single(plan, cache_dir, *, clients, allowed):
-    from repro.fleet import WorkerProcess, run_load, warm_fleet
-
-    worker = WorkerProcess(0, cache_dir=cache_dir)
-    try:
-        worker.spawn()
-        if not worker.wait_ready(300.0):
-            raise SystemExit("FATAL: single worker never became ready")
-        warm_fleet(worker.base_url, plan)
-        return run_load(
-            worker.base_url, plan, clients=clients, allowed_statuses=allowed
-        )
-    finally:
-        worker.stop()
-
-
-def _drive_fleet(
-    plan, cache_dir, *, workers, clients, allowed, kill_midway=False
-):
-    from repro.fleet import (
-        FleetConfig,
-        FleetSupervisor,
-        run_load,
-        serve_fleet,
-        warm_fleet,
-    )
-
-    fault_plan = (
-        json.dumps(plan.fault_plan) if plan.fault_plan is not None else None
-    )
-    supervisor = FleetSupervisor(
-        FleetConfig(workers=workers, cache_dir=cache_dir,
-                    fault_plan=fault_plan)
-    )
-    with serve_fleet(supervisor) as balancer:
-        host, port = balancer.server_address[:2]
-        base_url = f"http://{host}:{port}"
-        warm_fleet(base_url, plan)
-        on_midpoint = None
-        if kill_midway:
-            victim = plan.seed % workers
-
-            def on_midpoint():
-                supervisor.kill_worker(victim)
-        table = run_load(
-            base_url, plan, clients=clients, allowed_statuses=allowed,
-            on_midpoint=on_midpoint,
-        )
-        table["restarts"] = sum(
-            s["restarts"] for s in supervisor.snapshot()
-        )
-        return table
-
-
 def run_bench(*, workers, requests, clients, chaos_requests) -> dict:
-    from repro.fleet import build_plan
+    from repro.fleet import build_plan, drive
 
     cpu_count = os.cpu_count() or 1
     enforced = cpu_count >= MIN_CORES_FOR_BAR
     plan = build_plan("steady", SEED, requests)
 
     with tempfile.TemporaryDirectory() as tmp_a:
-        single = _drive_single(
-            plan, tmp_a, clients=clients, allowed=(200,)
-        )
+        single = drive(plan, tmp_a, single=True, clients=clients)
     with tempfile.TemporaryDirectory() as tmp_b:
-        fleet = _drive_fleet(
-            plan, tmp_b, workers=workers, clients=clients, allowed=(200,)
-        )
+        fleet = drive(plan, tmp_b, workers=workers, clients=clients)
     if single["sequence_sha256"] != fleet["sequence_sha256"]:
         raise SystemExit("FATAL: single and fleet replayed different plans")
 
     chaos_plan = build_plan("chaos", SEED, chaos_requests)
     with tempfile.TemporaryDirectory() as tmp_c:
-        chaos = _drive_fleet(
-            chaos_plan, tmp_c, workers=workers, clients=clients,
-            allowed=(200, 503, 504), kill_midway=True,
-        )
+        chaos = drive(chaos_plan, tmp_c, workers=workers, clients=clients)
 
     ratio = (
         fleet["timing"]["throughput_rps"]
@@ -251,19 +191,20 @@ def main(argv=None) -> int:
         return 1 if problems else 0
 
     if args.smoke:
-        from repro.fleet import build_plan
+        from repro.fleet import build_plan, drive
 
         plan = build_plan("steady", SEED, 12, ("dense", "pwtk"))
         with tempfile.TemporaryDirectory() as tmp:
-            table = _drive_fleet(
-                plan, tmp, workers=2, clients=2, allowed=(200,)
-            )
+            table = drive(plan, tmp, workers=2, clients=2)
         print(
             f"smoke: {table['requests']} requests, statuses "
             f"{table['statuses']}, {table['timing']['throughput_rps']} rps"
         )
         if table["violations"] or set(table["statuses"]) != {"200"}:
             print("FAIL: smoke saw non-200 responses", file=sys.stderr)
+            return 1
+        if not table["clean_drain"]:
+            print("FAIL: a worker did not drain cleanly", file=sys.stderr)
             return 1
         return 0
 

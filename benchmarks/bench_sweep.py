@@ -1,7 +1,8 @@
 """Before/after benchmark of the sweep's inner loop (batched array program).
 
-Measures the reduced golden config — dp, 1 thread, ``max_block_elems=4``,
-suite indices 1 (dense), 27 (pwtk) and 30 (rand-sparse) — two ways:
+Measures the reduced golden config (``repro.bench.harness.GOLDEN_SWEEP``)
+— dp, 1 thread, ``max_block_elems=4``, suite indices 1 (dense), 27 (pwtk)
+and 30 (rand-sparse) — two ways:
 
 * **reference** — what a cold worker paid before any of the sweep's
   optimisations: lazy in-process profile calibration plus the oracle's
@@ -57,6 +58,7 @@ is not faster than its spec; it is sized for a CI minute.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -68,7 +70,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-FULL_INDICES = (1, 27, 30)
 SMOKE_INDICES = (1,)
 #: The suite matrix whose out-of-budget streams the x_miss section times,
 #: and whose planned parts the row_costs section times.
@@ -77,20 +78,15 @@ XMISS_INDEX = 23
 ROW_COST_THREADS = (1, 2, 4)
 #: Acceptance bar: batched over the reference.
 SPEEDUP_BAR = 7.5
-#: Golden canonical_json sha prefixes (see also tests/test_plan.py).
-CANONICAL_SHA = "5eb35e90e7ecbca8"
+#: canonical_json sha prefix of the golden config over SMOKE_INDICES (the
+#: full golden sweep's is ``harness.GOLDEN_SWEEP_SHA``).
 SMOKE_SHA = "68288cd28a678a98"
 
 
 def _config(indices):
-    from repro.bench.harness import SweepConfig
+    from repro.bench.harness import GOLDEN_SWEEP
 
-    return SweepConfig(
-        precisions=("dp",),
-        thread_counts=(1,),
-        max_block_elems=4,
-        suite_indices=tuple(indices),
-    )
+    return dataclasses.replace(GOLDEN_SWEEP, suite_indices=tuple(indices))
 
 
 def _convert_each(coo, structures, **_):
@@ -408,7 +404,9 @@ def main(argv=None) -> int:
 
     import tempfile
 
-    indices = SMOKE_INDICES if args.smoke else FULL_INDICES
+    from repro.bench.harness import GOLDEN_SWEEP, GOLDEN_SWEEP_SHA
+
+    indices = SMOKE_INDICES if args.smoke else GOLDEN_SWEEP.suite_indices
     rounds = 1 if args.smoke else args.rounds
     with tempfile.TemporaryDirectory() as store_dir:
         payload = run_bench(indices, rounds=rounds, store_dir=Path(store_dir))
@@ -419,7 +417,7 @@ def main(argv=None) -> int:
         f"-> {payload['speedup']:.2f}x over the reference "
         f"(byte-identical, sha {payload['canonical_sha256_prefix']})"
     )
-    expected_sha = SMOKE_SHA if args.smoke else CANONICAL_SHA
+    expected_sha = SMOKE_SHA if args.smoke else GOLDEN_SWEEP_SHA
     if payload["canonical_sha256_prefix"] != expected_sha:
         print(
             f"FAIL: canonical sha {payload['canonical_sha256_prefix']} != "

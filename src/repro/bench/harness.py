@@ -47,12 +47,19 @@ __all__ = [
     "run_sweep",
     "load_or_run_sweep",
     "DEFAULT_CACHE_DIR",
+    "GOLDEN_SWEEP",
+    "GOLDEN_SWEEP_SHA",
     "PHASE_NAMES",
 ]
 
 
 #: Bump when the simulator, the cost tables or the suite change meaningfully.
 SWEEP_VERSION = 10
+
+#: sha256 prefix of :data:`GOLDEN_SWEEP`'s ``canonical_json()``.  The
+#: version is part of that JSON, so only a :data:`SWEEP_VERSION` bump may
+#: move it; any other change that moves it has altered a simulated number.
+GOLDEN_SWEEP_SHA = "5eb35e90e7ecbca8"
 
 DEFAULT_CACHE_DIR = Path(".repro_cache")
 
@@ -85,6 +92,16 @@ class SweepConfig:
         if self.suite_indices is None:
             return SUITE
         return tuple(get_entry(i) for i in self.suite_indices)
+
+
+#: The reduced golden sweep (dp, one thread, ``max_block_elems=4``, suite
+#: 1/27/30) pinned by :data:`GOLDEN_SWEEP_SHA`.
+GOLDEN_SWEEP = SweepConfig(
+    precisions=("dp",),
+    thread_counts=(1,),
+    max_block_elems=4,
+    suite_indices=(1, 27, 30),
+)
 
 
 @dataclass

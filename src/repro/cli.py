@@ -38,7 +38,6 @@ each restriction is a separately-cached configuration.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import errno
 import sys
 from pathlib import Path
@@ -841,7 +840,10 @@ def _build_loadtest_parser() -> argparse.ArgumentParser:
         prog="repro-spmv loadtest",
         description=(
             "Replay a deterministic traffic mix against a freshly spawned "
-            "fleet and print the benchmark table (docs/serving.md)."
+            "fleet (or one worker) and print the benchmark table.  Exit 1 "
+            "when a status falls outside the mix's budget, no request "
+            "answers 200, or a worker does not drain cleanly "
+            "(docs/serving.md)."
         ),
     )
     parser.add_argument(
@@ -900,15 +902,7 @@ def _build_loadtest_parser() -> argparse.ArgumentParser:
 def _loadtest_main(argv: Sequence[str]) -> int:
     import json as _json
 
-    from .fleet import (
-        FleetConfig,
-        FleetSupervisor,
-        WorkerProcess,
-        build_plan,
-        run_load,
-        serve_fleet,
-        warm_fleet,
-    )
+    from .fleet import build_plan, drive
 
     args = _build_loadtest_parser().parse_args(argv)
     matrices = tuple(s for s in args.matrices.split(",") if s)
@@ -918,74 +912,36 @@ def _loadtest_main(argv: Sequence[str]) -> int:
         message = exc.args[0] if exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
-    fault_plan = (
-        _json.dumps(plan.fault_plan) if plan.fault_plan is not None else None
-    )
-    # Chaos budget: shed (503) and deadline (504) are documented, anything
-    # else — connection resets included — is a violation.
-    allowed = (200, 503, 504) if args.mix == "chaos" else (200,)
-
-    with contextlib.ExitStack() as stack:
-        if args.single:
-            single = WorkerProcess(
-                0, cache_dir=args.cache_dir, fault_plan=fault_plan
-            )
-            stack.callback(single.stop)
-            single.spawn()
-            if not single.wait_ready(300.0):
-                print("error: worker never became ready", file=sys.stderr)
-                return 1
-            base_url = single.base_url
-            on_midpoint = None
-            workers = 1
-        else:
-            config = FleetConfig(
-                workers=args.workers,
-                cache_dir=args.cache_dir,
-                fault_plan=fault_plan,
-            )
-            supervisor = FleetSupervisor(config)
-            balancer = stack.enter_context(serve_fleet(supervisor))
-            host, port = balancer.server_address[:2]
-            base_url = f"http://{host}:{port}"
-            workers = args.workers
-            victim = args.seed % args.workers
-
-            def on_midpoint() -> None:
-                supervisor.kill_worker(victim)
-            if plan.kill_worker_at is None:
-                on_midpoint = None
-        print(
-            f"loadtest: mix={plan.mix} seed={plan.seed} "
-            f"requests={len(plan.requests)} clients={args.clients} "
-            f"workers={workers} target={base_url}",
-            file=sys.stderr,
-            flush=True,
-        )
-        if not args.no_warm:
-            warm_fleet(base_url, plan)
-        table = run_load(
-            base_url,
+    try:
+        table = drive(
             plan,
+            args.cache_dir,
+            workers=args.workers,
+            single=args.single,
             clients=args.clients,
-            allowed_statuses=allowed,
-            on_midpoint=on_midpoint,
+            warm=not args.no_warm,
         )
-        table["workers"] = workers
-        table["single"] = bool(args.single)
+    except RuntimeError as exc:  # a worker never became ready
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(_json.dumps(table, indent=2))
     if args.output is not None:
         Path(args.output).write_text(
             _json.dumps(table, indent=2) + "\n", encoding="utf-8"
         )
-    if table["violations"]:
+    violations = table["violations"]
+    if violations:
         print(
-            f"error: {len(table['violations'])} request(s) outside the "
-            f"status budget {sorted(allowed)}",
+            f"error: {len(violations)} violation(s) (status budget "
+            f"{sorted(plan.status_budget)}); first: {violations[0]}",
             file=sys.stderr,
         )
-        return 1
-    return 0
+    if not table["clean_drain"]:
+        print(
+            "error: a worker did not drain cleanly after SIGTERM",
+            file=sys.stderr,
+        )
+    return 1 if violations or not table["clean_drain"] else 0
 
 
 def _build_fsck_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,8 @@ segments — across the root itself *and* every fleet worker partition
 (``fleet/worker-<id>/``), and verifies each one's checksummed envelope
 (:mod:`repro.durability.envelope`).  A ``sweep_<fingerprint>.json`` file
 left by older versions is not an artifact any owner reads any more, so
-the walk ignores it; it can be deleted.  Findings come in three
-severities:
+the walk does not verify it and the GC counts it as rebuildable.
+Findings come in three severities:
 
 * **problems** (``corrupt``, ``torn-line``, ``stale-tmp``) — an artifact
   that fails integrity verification, a trace line whose CRC or JSON does
@@ -29,10 +29,10 @@ Every owner treats a missing artifact as a cache miss, so repair never
 loses data an owner could still have used — that is why fleet workers run
 ``fsck_tree(..., repair=True)`` on startup before answering ``/readyz``.
 
-``gc_max_bytes`` bounds the tree: rebuildable artifacts (shards,
-advisor entries, trace segments, quarantined evidence, unreferenced model
-artifacts) are deleted oldest-first — deterministically ordered by
-``(mtime_ns, path)`` — until the tree fits.  Calibrated profiles, the
+``gc_max_bytes`` bounds the tree: rebuildable artifacts (shards, old
+``sweep_*.json`` files, advisor entries, trace segments, quarantined
+evidence, unreferenced model artifacts) are deleted oldest-first —
+deterministically ordered by ``(mtime_ns, path)`` — until the tree fits.  Calibrated profiles, the
 ``current`` pointer and the artifact it references are never collected:
 they are the only cache entries whose loss costs more than a recompute.
 """
@@ -40,16 +40,13 @@ they are the only cache entries whose loss costs more than a recompute.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..ioutils import (
-    STALE_TMP_AGE_S,
     CacheWriteError,
-    _pid_alive,
-    _writer_pid,
     atomic_write_text,
+    is_stale_tmp,
     read_envelope_lines,
 )
 from .envelope import EnvelopeError, decode_envelope, encode_line
@@ -328,15 +325,7 @@ def _check_tmp_files(
         if QUARANTINE_DIR in tmp.parts:
             continue
         report.files_checked += 1
-        pid = _writer_pid(tmp.name)
-        if pid is not None:
-            stale = not _pid_alive(pid)
-        else:
-            try:
-                stale = time.time() - tmp.stat().st_mtime > STALE_TMP_AGE_S
-            except OSError:
-                continue  # vanished underneath us
-        if not stale:
+        if not is_stale_tmp(tmp):
             continue
         finding = Finding(
             kind="stale-tmp", owner="tmp", path=str(tmp),
@@ -376,6 +365,9 @@ def _gc_candidates(cache_root: Path):
     model), and tmp files (the stale-tmp check owns those).
     """
     for root in _partition_roots(cache_root):
+        # Left by older versions; no owner reads it, so it always rebuilds.
+        for path in sorted(root.glob("sweep_*.json")):
+            yield path, "sweep"
         shards = root / "shards"
         if shards.is_dir():
             for path in sorted(shards.rglob("shard_*")):

@@ -14,13 +14,12 @@ from .events import (
     ProgressReporter,
     Reporter,
 )
-from .pool import SweepEngine, run_sweep_engine
+from .pool import SweepEngine
 from .shards import SHARD_SCHEMA, ShardStore
 from .tasks import ShardTask, plan_shards, run_shard_task
 
 __all__ = [
     "SweepEngine",
-    "run_sweep_engine",
     "ShardTask",
     "plan_shards",
     "run_shard_task",

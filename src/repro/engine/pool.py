@@ -49,7 +49,7 @@ from .tasks import ShardTask, plan_shards, run_shard_task
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["SweepEngine", "run_sweep_engine"]
+__all__ = ["SweepEngine"]
 
 TaskFn = Callable[[ShardTask], MatrixSweep]
 
@@ -371,8 +371,3 @@ class SweepEngine:
                         )
             pending = rerun
         return busy_s
-
-
-def run_sweep_engine(config: SweepConfig = SweepConfig(), **kwargs) -> SweepResult:
-    """One-call convenience wrapper: ``SweepEngine(config, **kwargs).run()``."""
-    return SweepEngine(config, **kwargs).run()

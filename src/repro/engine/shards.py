@@ -97,17 +97,6 @@ class ShardStore:
             accept=accept,
         )
 
-    def completed_ids(self) -> list[int]:
-        """Shard ids with a (plausibly valid) completed file, ascending."""
-        if not self.root.is_dir():
-            return []
-        # Zero-padded names sort lexicographically == numerically; sorting
-        # the glob itself keeps readdir order out of resume behavior.
-        return [
-            int(p.stem.split("_")[1])
-            for p in sorted(self.root.glob("shard_[0-9][0-9][0-9].json"))
-        ]
-
     def clear(self) -> None:
         """Discard every shard and quarantine marker (``--fresh``)."""
         shutil.rmtree(self.root, ignore_errors=True)

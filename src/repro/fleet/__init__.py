@@ -13,8 +13,9 @@ N times behind a content-sharded balancer:
   :func:`serve_fleet`, the one start/stop lifecycle (bind, spawn, serve;
   stop serving, drain);
 * :mod:`repro.fleet.replay` / :mod:`repro.fleet.loadgen` — deterministic
-  seeded traffic plans (steady / skew / flood / chaos) and the
-  closed-loop generator that replays them over real sockets.
+  seeded traffic plans (steady / skew / flood / chaos), the closed-loop
+  generator that replays them over real sockets, and :func:`drive`, the
+  one start / warm / replay / drain driver for a lone worker or a fleet.
 
 CLI entry points: ``python -m repro fleet --workers N`` and
 ``python -m repro loadtest --mix steady --seed 1337``.  Architecture
@@ -29,7 +30,7 @@ from .balancer import (
     serve_fleet,
     shard_for,
 )
-from .loadgen import percentile, post_advise, run_load, warm_fleet
+from .loadgen import drive, percentile, post_advise, run_load, warm_fleet
 from .replay import (
     CHAOS_FAULT_PLAN,
     DEFAULT_MATRICES,
@@ -48,6 +49,7 @@ __all__ = [
     "routing_fingerprint",
     "serve_fleet",
     "shard_for",
+    "drive",
     "percentile",
     "post_advise",
     "run_load",

@@ -14,22 +14,32 @@ strict separation:
 
 Clients are closed-loop: each thread takes the next request off a shared
 cursor, posts it, waits for the full response, then takes another.  With
-``clients=C`` that bounds offered concurrency at C, mirroring how the
-admission bound on the server side is exercised in PR 5's smoke.
+``clients=C`` that bounds offered concurrency at C, which is what
+exercises the server's admission bound.
+
+:func:`drive` is the one topology driver: it starts a single worker or a
+balanced fleet, warms it, replays the plan and stops it again, and adds
+the drain verdict to the table.  ``repro loadtest`` (CI's chaos and fleet
+smokes included) and ``benchmarks/bench_serve.py`` both run through it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
+from .balancer import serve_fleet
 from .replay import ReplayPlan
+from .supervisor import FleetConfig, FleetSupervisor
+from .worker import WorkerProcess
 
-__all__ = ["post_advise", "run_load", "percentile", "warm_fleet"]
+__all__ = ["drive", "post_advise", "run_load", "percentile", "warm_fleet"]
 
 #: Client-side timeout per request; far above any healthy advise.
 DEFAULT_CLIENT_TIMEOUT_S = 300.0
@@ -136,20 +146,23 @@ def run_load(
     *,
     clients: int = 4,
     timeout_s: float = DEFAULT_CLIENT_TIMEOUT_S,
-    allowed_statuses: tuple[int, ...] = (200,),
+    allowed_statuses: tuple[int, ...] | None = None,
     on_midpoint=None,
 ) -> dict:
     """Replay ``plan`` against ``base_url``; return the benchmark table.
 
-    ``allowed_statuses`` defines the run's *budget*: any response outside
-    it is recorded as a violation (the table stays usable for asserting
-    "zero client-visible failures" or "only shed/timeout within budget").
-    ``on_midpoint`` fires exactly once, in the client thread that crosses
-    ``plan.kill_worker_at`` (default halfway) — the chaos hook that kills
-    a worker mid-run.
+    ``allowed_statuses`` defines the run's *budget* (default: the plan's
+    :attr:`~repro.fleet.replay.ReplayPlan.status_budget`): any response
+    outside it is recorded as a violation, and so is a run in which no
+    request answered 200 — a server that sheds everything stays inside a
+    chaos budget while serving nothing.  ``on_midpoint`` fires exactly
+    once, in the client thread that crosses ``plan.kill_worker_at``
+    (default halfway) — the chaos hook that kills a worker mid-run.
     """
     if clients < 1:
         raise ValueError(f"clients must be >= 1, got {clients}")
+    if allowed_statuses is None:
+        allowed_statuses = plan.status_budget
     cursor = _Cursor(len(plan.requests))
     tally = _Tally()
     midpoint_at = plan.kill_worker_at if plan.kill_worker_at is not None \
@@ -208,6 +221,8 @@ def run_load(
     for t in threads:
         t.join()
     elapsed = time.monotonic() - t0
+    if 200 not in tally.statuses:
+        tally.violation("no request answered 200")
 
     latencies = sorted(tally.latencies_s)
     completed = len(latencies)
@@ -235,3 +250,95 @@ def run_load(
             "p99_ms": round(percentile(latencies, 99.0) * 1000.0, 3),
         },
     }
+
+
+def _healed(supervisor: FleetSupervisor) -> bool:
+    """Every slot is mounted on a live worker that reported ready."""
+    for slot in supervisor.slots:
+        with slot.lock:
+            worker = slot.worker
+            if not slot.ready or worker is None or not worker.alive():
+                return False
+    return True
+
+
+def drive(
+    plan: ReplayPlan,
+    cache_dir: str | Path,
+    *,
+    workers: int = 2,
+    single: bool = False,
+    clients: int = 4,
+    warm: bool = True,
+) -> dict:
+    """Start a topology, replay ``plan`` through it, stop it; the table.
+
+    The topology is one :class:`WorkerProcess` hit directly (``single``)
+    or ``workers`` supervised workers behind the balancer
+    (:func:`serve_fleet`); either way every worker runs under the plan's
+    fault plan.  Once it is ready, :func:`warm_fleet` pays the cold
+    advises (unless ``warm`` is False) and :func:`run_load` replays the
+    plan within its status budget.  A plan with a scripted kill SIGKILLs
+    worker ``seed % workers`` at its midpoint (fleet only: a lone worker
+    has no failover) and waits for the supervisor to remount it, so the
+    drain judges the healed fleet and no restart is left in flight.
+
+    The table gains ``workers``, ``single``, ``restarts`` (fleet only) and
+    ``clean_drain``: the lone worker's SIGTERM exit status was 0, or every
+    fleet worker drained cleanly (``FleetBalancer.drained_clean``).
+    Raises ``RuntimeError`` when a worker never becomes ready.
+    """
+    fault_plan = (
+        json.dumps(plan.fault_plan) if plan.fault_plan is not None else None
+    )
+    count = 1 if single else workers
+
+    def replay(base_url: str, on_midpoint=None) -> dict:
+        print(
+            f"loadtest: mix={plan.mix} seed={plan.seed} "
+            f"requests={len(plan.requests)} clients={clients} "
+            f"workers={count} target={base_url}",
+            file=sys.stderr,
+            flush=True,
+        )
+        if warm:
+            warm_fleet(base_url, plan)
+        table = run_load(
+            base_url, plan, clients=clients, on_midpoint=on_midpoint
+        )
+        table["workers"] = count
+        table["single"] = single
+        return table
+
+    if single:
+        worker = WorkerProcess(0, cache_dir=cache_dir, fault_plan=fault_plan)
+        try:
+            worker.spawn()
+            if not worker.wait_ready():
+                raise RuntimeError("worker never became ready")
+            table = replay(worker.base_url)
+        finally:
+            rc = worker.stop()
+        table["clean_drain"] = rc == 0
+        return table
+
+    supervisor = FleetSupervisor(
+        FleetConfig(workers=workers, cache_dir=cache_dir, fault_plan=fault_plan)
+    )
+    on_midpoint = None
+    if plan.kill_worker_at is not None:
+        victim = plan.seed % workers
+
+        def on_midpoint() -> None:
+            supervisor.kill_worker(victim)
+
+    with serve_fleet(supervisor) as balancer:
+        host, port = balancer.server_address[:2]
+        table = replay(f"http://{host}:{port}", on_midpoint)
+        if on_midpoint is not None:
+            deadline = time.monotonic() + supervisor.config.ready_timeout_s
+            while not _healed(supervisor) and time.monotonic() < deadline:
+                time.sleep(0.1)
+        table["restarts"] = sum(s["restarts"] for s in supervisor.snapshot())
+    table["clean_drain"] = bool(balancer.drained_clean)
+    return table

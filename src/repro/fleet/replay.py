@@ -47,8 +47,8 @@ __all__ = [
 #: Supported traffic mixes (CLI ``loadtest --mix`` choices).
 MIXES = ("steady", "skew", "flood", "chaos")
 
-#: Cheapest suite matrices on a small container — same set the PR 5
-#: chaos smoke uses, so fleet numbers compare against that baseline.
+#: Cheapest suite matrices on a small container; CI's chaos job
+#: (``repro loadtest --single --mix chaos``) replays over them too.
 DEFAULT_MATRICES = ("dense", "pwtk", "stomach")
 
 #: Zipf-ish skew exponent for the ``skew`` and ``chaos`` mixes.
@@ -57,8 +57,10 @@ SKEW_EXPONENT = 1.5
 #: Fraction of the way through a chaos run at which a worker is killed.
 CHAOS_KILL_AT = 0.5
 
-#: Fault plan every worker runs under during the ``chaos`` mix — the
-#: PR 5 smoke plan: cache-save faults, payload corruption, load delays.
+#: Fault plan every worker runs under during the ``chaos`` mix: store
+#: faults only (cache-save faults, payload corruption, load delays), which
+#: request handling must survive because saves are best-effort and a
+#: corrupt or missing entry is recomputed.
 CHAOS_FAULT_PLAN = {
     "seed": 1337,
     "rules": [
@@ -126,6 +128,16 @@ class ReplayPlan:
     def sequence_sha(self) -> str:
         """SHA-256 of the canonical plan; equal seeds ⇒ equal digests."""
         return sha256(self.canonical_json().encode()).hexdigest()
+
+    @property
+    def status_budget(self) -> tuple[int, ...]:
+        """The statuses a replay of this plan may answer.
+
+        Under a fault plan, shed (503) and deadline (504) answers are
+        within contract; anything else, connection resets included, is a
+        violation.  Without one, every request must answer 200.
+        """
+        return (200,) if self.fault_plan is None else (200, 503, 504)
 
 
 def _steady(rng: random.Random, n: int, matrices: tuple[str, ...]):

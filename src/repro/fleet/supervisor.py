@@ -344,11 +344,6 @@ class FleetSupervisor:
             with self._restart_lock:
                 self._restarting.discard(index)
 
-    def rolling_restart(self) -> None:
-        """Replace every worker, one warm handoff at a time."""
-        for slot in self.slots:
-            self.replace_worker(slot.index)
-
     # ------------------------------ chaos -------------------------------- #
     def kill_worker(self, index: int) -> int | None:
         """SIGKILL one worker (chaos drills); the monitor restarts it."""

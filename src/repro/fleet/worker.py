@@ -5,8 +5,7 @@ A :class:`WorkerProcess` wraps exactly one OS process running the existing
 composes the hardened single-node server N times.  Each worker:
 
 * binds an ephemeral port (``--port 0``) and announces it on stdout, which
-  the parent parses (same contract :mod:`repro.resilience.smoke` relies
-  on);
+  the parent parses (:data:`LISTEN_RE`, the one copy of that contract);
 * owns a private recommendation-cache partition
   (``<cache_dir>/fleet/worker-<id>/``) — the balancer's fingerprint
   sharding guarantees no other worker ever writes those keys;

@@ -57,6 +57,7 @@ __all__ = [
     "read_envelope",
     "read_envelope_lines",
     "append_jsonl_lines",
+    "is_stale_tmp",
     "remove_stale_tmp_files",
 ]
 
@@ -238,31 +239,33 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def remove_stale_tmp_files(
-    root: str | Path, *, max_age_s: float = STALE_TMP_AGE_S
-) -> list[Path]:
-    """Delete orphaned ``*.tmp`` files directly under ``root``.
+def is_stale_tmp(path: Path) -> bool:
+    """Whether the ``*.tmp`` file at ``path`` is orphaned.
 
-    A tmp file is orphaned when the writer pid embedded in its name is no
-    longer alive, or — for tmp files with no recognizable pid — when it is
-    older than ``max_age_s``.  Tmp files of live writers (concurrent
-    processes mid-write, including this one) are left alone.  Returns the
-    removed paths.
+    It is when the writer pid embedded in its name is no longer alive, or
+    — for tmp files with no recognizable pid — when it is older than
+    :data:`STALE_TMP_AGE_S`.  Tmp files of live writers (concurrent
+    processes mid-write, including this one) are not, and neither is a
+    file that vanished underneath us.
     """
+    pid = _writer_pid(path.name)
+    if pid is not None:
+        return not _pid_alive(pid)
+    try:
+        return time.time() - path.stat().st_mtime > STALE_TMP_AGE_S
+    except OSError:
+        return False
+
+
+def remove_stale_tmp_files(root: str | Path) -> list[Path]:
+    """Delete orphaned ``*.tmp`` files (:func:`is_stale_tmp`) directly
+    under ``root``; returns the removed paths."""
     root = Path(root)
     if not root.is_dir():
         return []
     removed: list[Path] = []
     for tmp in sorted(root.glob("*.tmp")):
-        pid = _writer_pid(tmp.name)
-        if pid is not None:
-            stale = not _pid_alive(pid)
-        else:
-            try:
-                stale = time.time() - tmp.stat().st_mtime > max_age_s
-            except OSError:
-                continue  # vanished underneath us
-        if not stale:
+        if not is_stale_tmp(tmp):
             continue
         try:
             tmp.unlink(missing_ok=True)

@@ -4,8 +4,9 @@ Run as ``python -m repro.learn.smoke``.  The default mode exercises the
 full closed loop against a *live* server, exactly as the ``learn-smoke``
 CI job does:
 
-1. spawn ``repro serve --learn --train-interval ...`` as a subprocess and
-   parse its announce line for the bound port;
+1. spawn ``repro serve --learn --train-interval ...`` as a subprocess
+   (a :class:`~repro.fleet.worker.WorkerProcess` whose command line adds
+   the learning flags) and wait for ``/readyz``;
 2. drive seeded deterministic traffic (small generated patterns posted as
    Matrix Market text, so no files and no suite build time);
 3. poll ``GET /stats`` until a training cycle completed (``train_end``
@@ -15,10 +16,10 @@ CI job does:
    serves (``learn.modes.guided`` > 0);
 5. SIGTERM the server and require a clean drain (exit status 0).
 
-``--verify-sha`` instead re-runs the canonical reduced sweep (dp, one
-thread, ``max_block_elems=4``, suite 1/27/30) and asserts its canonical
-JSON still hashes to :data:`CANONICAL_SWEEP_SHA` — proof that the learning
-subsystem left the analytic model path untouched.
+``--verify-sha`` instead re-runs the reduced golden sweep
+(:data:`repro.bench.harness.GOLDEN_SWEEP`) and asserts its canonical JSON
+still hashes to :data:`~repro.bench.harness.GOLDEN_SWEEP_SHA` — proof
+that the learning subsystem left the analytic model path untouched.
 """
 
 from __future__ import annotations
@@ -26,27 +27,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import re
-import signal
-import subprocess
 import sys
 import tempfile
 import time
-import urllib.request
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CANONICAL_SWEEP_SHA", "main", "run_server_smoke", "verify_sweep_sha"]
+from ..fleet.loadgen import post_advise
+from ..fleet.worker import WorkerProcess
 
-#: sha256 prefix of the reduced golden sweep's canonical JSON (dp, one
-#: thread, max_block_elems=4, suite indices 1/27/30) — the same value
-#: asserted by BENCH_sweep.json and tests/test_learn.py.
-CANONICAL_SWEEP_SHA = "5eb35e90e7ecbca8"
-
-#: The serve CLI's announce line (same pattern the fleet supervisor uses).
-LISTEN_RE = re.compile(r"listening on http://([\d.]+):(\d+)")
+__all__ = ["LearnWorker", "main", "run_server_smoke", "verify_sweep_sha"]
 
 #: Matrices per traffic round; enough trainable records for the default
 #: trainer threshold in one round.
@@ -68,94 +59,39 @@ def seeded_matrix_market(seed: int, nrows: int = 300, nnz: int = 2400) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _post_advise(base_url: str, body: dict, timeout: float = 60.0) -> dict:
-    data = json.dumps(body).encode()
-    req = urllib.request.Request(
-        f"{base_url}/advise",
-        data=data,
-        headers={"Content-Type": "application/json"},
-    )
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        return json.loads(resp.read())
-
-
-def _get_json(base_url: str, path: str, timeout: float = 10.0) -> dict:
-    with urllib.request.urlopen(f"{base_url}{path}", timeout=timeout) as resp:
-        return json.loads(resp.read())
-
-
 def drive_round(base_url: str, *, base_seed: int, n: int = ROUND_MATRICES) -> int:
     """POST ``n`` seeded matrices; returns how many answered."""
     answered = 0
     for i in range(n):
         body = {"matrix_market": seeded_matrix_market(base_seed + i)}
-        payload = _post_advise(base_url, body)
-        if "ranking" in payload:
+        status, payload = post_advise(base_url, body)
+        if status == 200 and "ranking" in payload:
             answered += 1
     return answered
 
 
 # ------------------------------ server --------------------------------- #
-def spawn_server(cache_dir: Path, *, train_interval: float) -> tuple:
-    """Start ``repro serve --learn`` and return ``(proc, base_url)``."""
-    env = dict(os.environ)
-    env["PYTHONUNBUFFERED"] = "1"
-    src_dir = str(Path(__file__).resolve().parents[2])
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = src_dir + (os.pathsep + existing if existing else "")
-    cmd = [
-        sys.executable, "-m", "repro", "serve",
-        "--host", "127.0.0.1",
-        "--port", "0",
-        "--cache-dir", str(cache_dir),
-        "--learn",
-        "--train-interval", str(train_interval),
-        "--holdout-mod", "2",
-    ]
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-        text=True, env=env,
-    )
-    deadline = time.monotonic() + 60.0
-    base_url = None
-    assert proc.stdout is not None
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        match = LISTEN_RE.search(line)
-        if match:
-            base_url = f"http://{match.group(1)}:{match.group(2)}"
-            break
-    if base_url is None:
-        proc.kill()
-        raise SystemExit("FAIL: server never announced a port")
-    # Drain remaining stdout on a thread-free trick: close our end; the
-    # server logs to stderr (devnull) from here on.
-    proc.stdout.close()
-    return proc, base_url
+class LearnWorker(WorkerProcess):
+    """A lone ``repro serve --learn`` that trains every ``train_interval`` s."""
+
+    def __init__(self, cache_dir: Path, *, train_interval: float) -> None:
+        super().__init__(0, cache_dir=cache_dir)
+        self.train_interval = train_interval
+
+    def command(self) -> list[str]:
+        return super().command() + [
+            "--learn",
+            "--train-interval", str(self.train_interval),
+            "--holdout-mod", "2",
+        ]
 
 
-def wait_ready(base_url: str, timeout_s: float = 120.0) -> None:
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            with urllib.request.urlopen(f"{base_url}/readyz", timeout=5.0) as r:
-                if r.status == 200:
-                    return
-        except Exception:
-            pass
-        time.sleep(0.2)
-    raise SystemExit("FAIL: server never became ready")
-
-
-def wait_for_train(base_url: str, timeout_s: float = 60.0) -> dict:
+def wait_for_train(worker: WorkerProcess, timeout_s: float = 60.0) -> dict:
     """Poll /stats until a train cycle + publish + swap are all visible."""
     deadline = time.monotonic() + timeout_s
     last: dict = {}
     while time.monotonic() < deadline:
-        stats = _get_json(base_url, "/stats")
+        stats = worker.stats() or {}
         last = stats
         events = stats.get("resilience", {}).get("events", {})
         learn = stats.get("learn", {})
@@ -174,14 +110,17 @@ def wait_for_train(base_url: str, timeout_s: float = 60.0) -> dict:
 
 def run_server_smoke(*, train_interval: float = 1.0) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        proc, base_url = spawn_server(Path(tmp), train_interval=train_interval)
+        worker = LearnWorker(Path(tmp), train_interval=train_interval)
         try:
-            wait_ready(base_url)
+            worker.spawn()
+            if not worker.wait_ready():
+                raise SystemExit("FAIL: server never became ready")
+            base_url = worker.base_url
             answered = drive_round(base_url, base_seed=100)
             print(f"round 1: {answered}/{ROUND_MATRICES} answered")
             if answered < ROUND_MATRICES:
                 raise SystemExit("FAIL: round 1 dropped requests")
-            stats = wait_for_train(base_url)
+            stats = wait_for_train(worker)
             learn = stats["learn"]
             print(
                 f"trained: model_version={learn['model_version']} "
@@ -189,41 +128,34 @@ def run_server_smoke(*, train_interval: float = 1.0) -> int:
                 f"trace_records={learn['trace_records']}"
             )
             drive_round(base_url, base_seed=100)  # cached round, now guided
-            stats = _get_json(base_url, "/stats")
-            modes = stats["learn"]["modes"]
+            stats = worker.stats() or {}
+            modes = stats.get("learn", {}).get("modes", {})
             print(f"modes after round 2: {modes}")
             if modes.get("guided", 0) < 1:
                 raise SystemExit("FAIL: published model never served guided")
         finally:
-            proc.send_signal(signal.SIGTERM)
-            try:
-                rc = proc.wait(timeout=30.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                raise SystemExit("FAIL: server did not drain after SIGTERM")
+            rc = worker.stop(timeout_s=30.0)
         if rc != 0:
-            raise SystemExit(f"FAIL: server exited with status {rc}")
+            raise SystemExit(
+                f"FAIL: server did not drain cleanly (exit status {rc})"
+            )
         print("server smoke: OK (clean drain)")
     return 0
 
 
 # ----------------------------- sweep sha ------------------------------- #
 def verify_sweep_sha() -> int:
-    """Re-run the canonical reduced sweep and assert its sha is untouched."""
-    from repro.bench.harness import SweepConfig, run_sweep
+    """Re-run the golden reduced sweep and assert its sha is untouched."""
+    from repro.bench.harness import GOLDEN_SWEEP, GOLDEN_SWEEP_SHA, run_sweep
     from repro.core.profiling import ProfileStore
 
-    config = SweepConfig(
-        precisions=("dp",),
-        thread_counts=(1,),
-        max_block_elems=4,
-        suite_indices=(1, 27, 30),
-    )
     with tempfile.TemporaryDirectory() as store_dir:
-        result = run_sweep(config=config, profile_cache=ProfileStore(store_dir))
+        result = run_sweep(
+            config=GOLDEN_SWEEP, profile_cache=ProfileStore(store_dir)
+        )
     sha = hashlib.sha256(result.canonical_json().encode()).hexdigest()[:16]
-    print(f"canonical sweep sha: {sha} (expected {CANONICAL_SWEEP_SHA})")
-    if sha != CANONICAL_SWEEP_SHA:
+    print(f"canonical sweep sha: {sha} (expected {GOLDEN_SWEEP_SHA})")
+    if sha != GOLDEN_SWEEP_SHA:
         print("FAIL: learning subsystem perturbed the analytic model path",
               file=sys.stderr)
         return 1

@@ -12,12 +12,12 @@ that argument:
   monotonic budgets, HTTP 504) and :class:`CircuitBreaker`
   (closed → open → half-open per precision, backing the server's
   degraded mode and 503s).
-* :mod:`repro.resilience.smoke` — the CI mixed-traffic chaos smoke:
-  concurrent advise traffic against a real server subprocess with
-  injected store faults, ending in a SIGTERM drain.
 
-See ``docs/resilience.md`` for the plan JSON schema, the site catalog
-and the chaos runbook.
+CI's chaos smoke is ``repro loadtest --single --mix chaos``
+(:func:`repro.fleet.drive`): concurrent advise traffic against a real
+server subprocess under injected store faults, ending in a SIGTERM
+drain.  See ``docs/resilience.md`` for the plan JSON schema, the site
+catalog and the chaos runbook.
 """
 
 from .faults import (

@@ -413,7 +413,7 @@ def _damaged_tree(root, monkeypatch):
         fh.write('%e1%00000000%{"i": 3}\n')
     (advisor / "rec_2.json.12345-0.tmp").write_text("half a write")
     # Deterministic "writer is gone" regardless of host pid recycling.
-    monkeypatch.setattr("repro.durability.fsck._pid_alive", lambda pid: False)
+    monkeypatch.setattr("repro.ioutils._pid_alive", lambda pid: False)
 
 
 class TestFsck:
@@ -512,6 +512,20 @@ class TestFsck:
         assert (models / "current.json").exists()
         assert (tmp_path / "profiles" / "profile_a.json").exists()
         assert report.bytes_total <= keep
+
+    def test_gc_collects_an_old_sweep_file(self, tmp_path):
+        # A sweep_<fp>.json left by an older version counts toward the
+        # bound, so the GC must be able to collect it to reach the bound.
+        old_sweep = tmp_path / "sweep_0123456789abcdef.json"
+        old_sweep.write_bytes(b" " * 50_000)
+        for i in (1, 2, 3):
+            write_envelope(tmp_path / "advisor" / f"rec_{i}.json", {"i": i})
+        report = fsck_tree(tmp_path, gc_max_bytes=10_000)
+        assert not old_sweep.exists()
+        assert report.bytes_total <= 10_000
+        assert str(old_sweep) in {
+            f.path for f in report.findings if f.kind == "gc"
+        }
 
     def test_gc_zero_budget_never_touches_the_precious(self, tmp_path):
         write_envelope(tmp_path / "profiles" / "profile_a.json", {"schema": 1})

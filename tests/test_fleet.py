@@ -217,13 +217,15 @@ class TestPercentile:
 
 
 class _StubAdviseHandler(BaseHTTPRequestHandler):
-    """Answers every /advise with a canned 200 (no model evaluation)."""
+    """Answers every /advise with a canned ``status`` (no model evaluation)."""
+
+    status = 200
 
     def do_POST(self):  # noqa: N802 - stdlib naming
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         payload = json.dumps({"echo": body.get("suite")}).encode()
-        self.send_response(200)
+        self.send_response(self.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
         self.end_headers()
@@ -234,8 +236,13 @@ class _StubAdviseHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture()
-def stub_server():
-    srv = ThreadingHTTPServer(("127.0.0.1", 0), _StubAdviseHandler)
+def stub_server(request):
+    """A stub /advise server; indirect parametrization sets its status."""
+    handler = type(
+        "_Stub", (_StubAdviseHandler,),
+        {"status": getattr(request, "param", 200)},
+    )
+    srv = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{srv.server_address[1]}"
@@ -272,6 +279,15 @@ class TestLoadgenTables:
             on_midpoint=lambda: fired.append(1),
         )
         assert len(fired) == 1
+
+    @pytest.mark.parametrize("stub_server", [503], indirect=True)
+    def test_a_run_with_no_200_is_a_violation(self, stub_server):
+        # 503 is inside the chaos budget, but a server that sheds every
+        # request served nothing.
+        plan = build_plan("chaos", 9, 6)
+        table = run_load(stub_server, plan, clients=2)
+        assert table["statuses"] == {"503": 6}
+        assert table["violations"] == ["no request answered 200"]
 
 
 class _NoWorkers:
@@ -530,6 +546,37 @@ def test_fleet_cli_sigterm_exits_0_and_leaves_no_worker(tmp_path, profile_root):
             proc.wait()
         proc.stdout.close()
         proc.stderr.close()
+
+
+@pytest.mark.slow
+def test_loadtest_exits_1_on_an_unclean_drain(
+    tmp_path, profile_root, monkeypatch, capsys
+):
+    """``repro loadtest --single`` judges the worker's SIGTERM exit: every
+    request answered 200, yet a drain that did not exit 0 fails the run."""
+    from repro.cli import main
+    from repro.fleet import WorkerProcess
+
+    cache = tmp_path / "cache"
+    shutil.copytree(profile_root, cache)
+    real_stop = WorkerProcess.stop
+
+    def unclean_stop(self, timeout_s=15.0):
+        real_stop(self, timeout_s)
+        return 1
+
+    monkeypatch.setattr(WorkerProcess, "stop", unclean_stop)
+    rc = main([
+        "loadtest", "--single", "--mix", "steady", "--requests", "4",
+        "--clients", "2", "--matrices", "dense", "--cache-dir", str(cache),
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert "did not drain cleanly" in err
+    table = json.loads(out)
+    assert table["statuses"] == {"200": 4}
+    assert table["violations"] == []
+    assert table["clean_drain"] is False
 
 
 def self_worker(index, config, profile_root):

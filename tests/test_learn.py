@@ -21,7 +21,6 @@ from repro.learn import (
     model_token,
     train_once,
 )
-from repro.learn.smoke import CANONICAL_SWEEP_SHA
 from repro.resilience.guard import BreakerConfig, CircuitBreaker
 from repro.serve.service import AdvisorService
 
@@ -643,19 +642,13 @@ class TestAnalyticPathUntouched:
         """The learning subsystem must not perturb the analytic sweep."""
         import hashlib
 
-        from repro.bench.harness import SweepConfig, run_sweep
+        from repro.bench.harness import GOLDEN_SWEEP, GOLDEN_SWEEP_SHA, run_sweep
         from repro.core.profiling import ProfileStore
 
-        config = SweepConfig(
-            precisions=("dp",),
-            thread_counts=(1,),
-            max_block_elems=4,
-            suite_indices=(1, 27, 30),
-        )
         result = run_sweep(
-            config=config, profile_cache=ProfileStore(tmp_path)
+            config=GOLDEN_SWEEP, profile_cache=ProfileStore(tmp_path)
         )
         sha = hashlib.sha256(
             result.canonical_json().encode()
         ).hexdigest()[:16]
-        assert sha == CANONICAL_SWEEP_SHA
+        assert sha == GOLDEN_SWEEP_SHA
