@@ -905,6 +905,12 @@ def _loadtest_main(argv: Sequence[str]) -> int:
     from .fleet import build_plan, drive
 
     args = _build_loadtest_parser().parse_args(argv)
+    for flag, value in (
+        ("--workers", args.workers), ("--clients", args.clients)
+    ):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     matrices = tuple(s for s in args.matrices.split(",") if s)
     try:
         plan = build_plan(args.mix, args.seed, args.requests, matrices)

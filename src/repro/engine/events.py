@@ -21,10 +21,13 @@ Kinds and their fields:
 ``shard_cached``          ``shard, matrix`` (served from a completed shard)
 ``shard_start``           ``shard, matrix, attempt`` (submitted to a worker)
 ``shard_finish``          ``shard, matrix, attempt, elapsed_s, records,``
-                          ``phases`` (phase → seconds breakdown of the
-                          worker's busy time: ``convert`` / ``stats`` /
-                          ``simulate`` / ``models``; ``None`` when the task
-                          function does not report one)
+                          ``phases, peak_rss_mb`` (``phases`` is the phase
+                          → seconds breakdown of the worker's busy time:
+                          ``convert`` / ``stats`` / ``simulate`` /
+                          ``models``; ``None`` when the task function does
+                          not report one.  ``peak_rss_mb`` is the worker
+                          process's peak resident set so far, read after
+                          the shard)
 ``shard_retry``           ``shard, matrix, attempt, backoff_s, error,``
                           ``error_type`` (``error`` is the exception
                           message, ``error_type`` its class name)
@@ -88,9 +91,10 @@ EVENT_SCHEMAS: dict[str, frozenset[str]] = {
     ),
     "shard_cached": frozenset({"shard", "matrix"}),
     "shard_start": frozenset({"shard", "matrix", "attempt"}),
-    "shard_finish": frozenset(
-        {"shard", "matrix", "attempt", "elapsed_s", "records", "phases"}
-    ),
+    "shard_finish": frozenset({
+        "shard", "matrix", "attempt", "elapsed_s", "records", "phases",
+        "peak_rss_mb",
+    }),
     "shard_retry": frozenset(
         {"shard", "matrix", "attempt", "backoff_s", "error", "error_type"}
     ),

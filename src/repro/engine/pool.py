@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import os
+import resource
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -54,12 +55,20 @@ __all__ = ["SweepEngine"]
 TaskFn = Callable[[ShardTask], MatrixSweep]
 
 
-def _timed_task(task_fn: TaskFn, task: ShardTask) -> tuple[MatrixSweep, float]:
-    """Run one shard and measure its busy time (executes in the worker)."""
+def _timed_task(
+    task_fn: TaskFn, task: ShardTask
+) -> tuple[MatrixSweep, float, float]:
+    """Run one shard in the worker: ``(matrix, busy seconds, peak RSS)``.
+
+    The peak is the worker process's largest resident set so far, in MiB
+    (``ru_maxrss`` counts KiB on Linux), read after the shard finishes.
+    """
     t0 = time.perf_counter()
     fault_point("engine.pool.task")
     matrix = task_fn(task)
-    return matrix, time.perf_counter() - t0
+    busy = time.perf_counter() - t0
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return matrix, busy, peak_kib / 1024
 
 
 class SweepEngine:
@@ -223,6 +232,7 @@ class SweepEngine:
         task: ShardTask,
         matrix: MatrixSweep,
         busy: float,
+        peak_rss_mb: float,
         attempt: int,
         completed: dict[int, MatrixSweep],
     ) -> None:
@@ -244,6 +254,7 @@ class SweepEngine:
             phases={k: round(v, 6) for k, v in phases.items()}
             if phases
             else None,
+            peak_rss_mb=round(peak_rss_mb, 1),
         )
 
     def _record_failure(
@@ -309,14 +320,16 @@ class SweepEngine:
                     attempt=attempt,
                 )
                 try:
-                    matrix, busy = _timed_task(self.task_fn, task)
+                    matrix, busy, peak = _timed_task(self.task_fn, task)
                 except Exception as exc:  # noqa: BLE001 - shard faults are data
                     if self._record_failure(task, exc, attempt, failed):
                         attempt += 1
                         continue
                     break
                 busy_s += busy
-                self._record_success(task, matrix, busy, attempt, completed)
+                self._record_success(
+                    task, matrix, busy, peak, attempt, completed
+                )
                 break
         return busy_s
 
@@ -357,7 +370,7 @@ class SweepEngine:
                         task = futures.pop(future)
                         attempt = attempts[task.shard_id]
                         try:
-                            matrix, busy = future.result()
+                            matrix, busy, peak = future.result()
                         except Exception as exc:  # noqa: BLE001
                             if self._record_failure(
                                 task, exc, attempt, failed
@@ -367,7 +380,7 @@ class SweepEngine:
                             continue
                         busy_s += busy
                         self._record_success(
-                            task, matrix, busy, attempt, completed
+                            task, matrix, busy, peak, attempt, completed
                         )
             pending = rerun
         return busy_s

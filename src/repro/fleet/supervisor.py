@@ -21,9 +21,12 @@ Guarantees:
   its in-flight requests under PR 5's drain machinery).  At no point is
   the shard unowned;
 * **graceful fleet shutdown** — :meth:`FleetSupervisor.shutdown` stops the
-  monitor, SIGTERMs every worker concurrently, waits out their drains and
+  monitor and waits out every restart in flight (once it begins no worker
+  is mounted: a restart that loses the race stops its own worker), then
+  SIGTERMs every mounted worker concurrently, waits out their drains and
   escalates to SIGKILL only past the deadline
-  (``fleet_drain_begin`` / ``fleet_drain_end`` events).
+  (``fleet_drain_begin`` / ``fleet_drain_end`` events).  A worker that
+  had already crashed has nothing to drain and does not make it unclean.
 
 Every lifecycle step is emitted on the supervisor's
 :class:`~repro.engine.events.EventBus` (``worker_spawn``, ``worker_ready``,
@@ -136,6 +139,8 @@ class FleetSupervisor:
         # doubles up on one slot (guarded by _restart_lock).
         self._restart_lock = threading.Lock()
         self._restarting: set[int] = set()
+        # Crash-restart threads, which shutdown waits out (same lock).
+        self._restart_threads: list[threading.Thread] = []
         # Per-slot seeded RNGs for the backoff jitter: distinct streams
         # per slot (so co-crashing workers draw *different* delays) that
         # replay identically for a given FleetConfig.restart_seed.
@@ -159,8 +164,25 @@ class FleetSupervisor:
             fault_plan=cfg.fault_plan,
         )
 
+    def _mount(
+        self, slot: WorkerSlot, worker: WorkerProcess
+    ) -> tuple[bool, WorkerProcess | None]:
+        """Swap a ready ``worker`` into ``slot``: ``(True, predecessor)``.
+
+        Once :meth:`shutdown` has begun nothing is mounted and this
+        returns ``(False, None)``; the caller stops ``worker`` itself.
+        The check and the swap share the slot lock that shutdown takes to
+        collect the slot, so a worker is either collected or never mounted.
+        """
+        with slot.lock:
+            if self._stop.is_set():
+                return False, None
+            old, slot.worker, slot.ready = slot.worker, worker, True
+        return True, old
+
     def _spawn_into_slot(self, slot: WorkerSlot) -> None:
-        """Spawn a fresh worker, wait for readiness, mount it."""
+        """Spawn a fresh worker, wait for readiness, mount it (or, once
+        shutdown has begun, stop it again)."""
         t0 = time.monotonic()
         worker = self._new_worker(slot.index)
         port = worker.spawn()
@@ -170,15 +192,17 @@ class FleetSupervisor:
             pid=worker.pid,
             port=port,
         )
-        if not worker.wait_ready(self.config.ready_timeout_s):
+        ready = worker.wait_ready(
+            self.config.ready_timeout_s, cancel=self._stop
+        )
+        if not (ready and self._mount(slot, worker)[0]):
             worker.stop(timeout_s=2.0)
+            if self._stop.is_set():
+                return
             raise RuntimeError(
                 f"worker {slot.index} failed to report ready within "
                 f"{self.config.ready_timeout_s:.0f}s"
             )
-        with slot.lock:
-            slot.worker = worker
-            slot.ready = True
         self.bus.emit(
             "worker_ready",
             worker_id=slot.index,
@@ -255,7 +279,12 @@ class FleetSupervisor:
             name=f"fleet-restart-{slot.index}",
             daemon=True,
         )
-        thread.start()
+        with self._restart_lock:
+            self._restart_threads = [
+                t for t in self._restart_threads if t.is_alive()
+            ]
+            self._restart_threads.append(thread)
+            thread.start()
 
     def _next_backoff(self, index: int) -> float:
         """The slot's next restart delay: decorrelated jitter.
@@ -321,15 +350,19 @@ class FleetSupervisor:
                 port=port,
             )
             t0 = time.monotonic()
-            if not replacement.wait_ready(self.config.ready_timeout_s):
+            ready = replacement.wait_ready(
+                self.config.ready_timeout_s, cancel=self._stop
+            )
+            mounted, old = (
+                self._mount(slot, replacement) if ready else (False, None)
+            )
+            if not mounted:
                 replacement.stop(timeout_s=2.0)
+                if self._stop.is_set():
+                    return
                 raise RuntimeError(
                     f"replacement for worker {index} never became ready"
                 )
-            with slot.lock:
-                old = slot.worker
-                slot.worker = replacement
-                slot.ready = True
             self.bus.emit(
                 "worker_ready",
                 worker_id=index,
@@ -357,24 +390,38 @@ class FleetSupervisor:
 
     # ----------------------------- shutdown ------------------------------ #
     def shutdown(self) -> bool:
-        """Drain and stop the whole fleet; True when every exit was clean."""
+        """Drain and stop the whole fleet; True when every worker that was
+        still running drained cleanly.
+
+        From here on no worker is mounted: the monitor stops, and every
+        restart in flight is waited out (within the fleet drain budget),
+        stopping any worker it spawned, so none outlives the fleet.
+        """
         self._stop.set()
         if self._monitor is not None:
             self._monitor.join(timeout=5.0)
             self._monitor = None
         self.bus.emit("fleet_drain_begin", workers=len(self.slots))
         t0 = time.monotonic()
+        deadline = t0 + self.config.fleet_drain_timeout_s
+        with self._restart_lock:
+            restarts, self._restart_threads = self._restart_threads, []
+        for thread in restarts:
+            thread.join(max(0.0, deadline - time.monotonic()))
         workers: list[WorkerProcess] = []
         for slot in self.slots:
             with slot.lock:
                 slot.ready = False
-                if slot.worker is not None:
-                    workers.append(slot.worker)
-        for worker in workers:
+                worker, slot.worker = slot.worker, None
+            if worker is not None:
+                workers.append(worker)
+        # A worker that exited before the SIGTERM crashed earlier (its
+        # restart was still pending): there is no drain left to judge.
+        draining = [w for w in workers if w.poll() is None]
+        for worker in draining:
             worker.terminate()
-        deadline = t0 + self.config.fleet_drain_timeout_s
         clean = True
-        for worker in workers:
+        for worker in draining:
             rc = worker.wait(max(0.0, deadline - time.monotonic()))
             if rc is None:
                 worker.kill()
@@ -382,6 +429,7 @@ class FleetSupervisor:
                 clean = False
             elif rc != 0:
                 clean = False
+        for worker in workers:
             worker.close()
         self.bus.emit(
             "fleet_drain_end",

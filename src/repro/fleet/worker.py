@@ -213,11 +213,18 @@ class WorkerProcess:
         return self.proc is not None and self.proc.poll() is None
 
     def wait_ready(
-        self, timeout_s: float = DEFAULT_READY_TIMEOUT_S
+        self,
+        timeout_s: float = DEFAULT_READY_TIMEOUT_S,
+        *,
+        cancel: threading.Event | None = None,
     ) -> bool:
-        return wait_until_ready(
-            self.base_url, timeout_s, alive=self.alive
-        )
+        """Poll ``/readyz`` until 200; False on timeout, on the process
+        dying, or once ``cancel`` is set."""
+        def waiting() -> bool:
+            cancelled = cancel is not None and cancel.is_set()
+            return self.alive() and not cancelled
+
+        return wait_until_ready(self.base_url, timeout_s, alive=waiting)
 
     # ------------------------------- stop -------------------------------- #
     def terminate(self) -> None:

@@ -17,13 +17,16 @@ nonzeros of every (segment, diagonal) block.
 These building blocks serve both consumers of block counts: the fused
 planner (:func:`repro.machine.batch.plan_structures`), which keeps the
 coarse matrices, and the advisor's feature probes
-(:mod:`repro.serve.features`), which read only their entry counts.
-:mod:`repro.formats.blockstats` stays the per-nonzero specification that
-both are tested against.
+(:mod:`repro.serve.features`), which read only their entry counts.  A
+:class:`Coarsening` holds one pattern's products, so a caller that runs
+both on the same pattern (the advisor's cold request) builds each one
+once.  :mod:`repro.formats.blockstats` stays the per-nonzero
+specification that both are tested against.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -41,6 +44,7 @@ __all__ = [
     "column_groups",
     "merge_columns",
     "coarsen_rows",
+    "Coarsening",
 ]
 
 #: Every index of a coarsening must stay below this (scipy's 32-bit path).
@@ -158,7 +162,9 @@ def merge_columns(mat: sparse.csr_matrix, c: int) -> sparse.csr_matrix:
 
 
 def coarsen_rows(
-    mat: sparse.csr_matrix, heights: Iterable[int]
+    mat: sparse.csr_matrix,
+    heights: Iterable[int],
+    built: dict[int, sparse.csr_matrix] | None = None,
 ) -> dict[int, sparse.csr_matrix]:
     """``{h: R_h @ mat}`` for every requested height (``mat`` itself for 1).
 
@@ -168,14 +174,74 @@ def coarsen_rows(
     ``ceil(ceil(n / d) / k) == ceil(n / (d * k))``, from an input with
     fewer rows and entries.  The largest such ``d`` gives the smallest
     input.  The products' in-row entry order may differ from a direct
-    ``R_h @ mat``; their sorted form is the same.
+    ``R_h @ mat``; their sorted form is the same.  ``built`` holds the
+    heights built by earlier calls on the same ``mat``: they are reused,
+    and serve as divisors, and the new ones are added to it.
     """
-    out: dict[int, sparse.csr_matrix] = {}
-    for h in sorted(set(heights)):
-        if h <= 1:
-            out[h] = mat
+    built = {} if built is None else built
+    heights = set(heights)
+    for h in sorted(heights):
+        if h in built:
             continue
-        base = max((d for d in out if 1 < d < h and h % d == 0), default=1)
-        src = out[base] if base > 1 else mat
-        out[h] = row_aggregation(src.shape[0], h // base) @ src
-    return out
+        if h <= 1:
+            built[h] = mat
+            continue
+        base = max((d for d in built if 1 < d < h and h % d == 0), default=1)
+        src = built[base] if base > 1 else mat
+        built[h] = row_aggregation(src.shape[0], h // base) @ src
+    return {h: built[h] for h in heights}
+
+
+class Coarsening:
+    """The row and diagonal coarsenings of one canonical pattern, each
+    built once.
+
+    :meth:`by_height` returns ``R_h @ A`` and :meth:`by_size` ``R_b @
+    shifted``, memoised across calls, so the advisor's feature probes and
+    the planner of one cold request share every product they both need.
+    The row counts and pointer, ``A`` and ``shifted`` are built on first
+    use.
+    Sharing is exact whatever order a product's entries take within a
+    row (the planner sorts a product in place before it reads index
+    values): the probes read entry counts, and every planner consumer
+    reads row-level counts or sorts first.  The products are as large as
+    the pattern, so an object lives for one request and is never cached
+    on the pattern.
+    """
+
+    def __init__(self, coo: COOMatrix) -> None:
+        self.coo = coo
+        self._by_height: dict[int, sparse.csr_matrix] = {}
+        self._by_size: dict[int, sparse.csr_matrix] = {}
+
+    @cached_property
+    def row_counts(self) -> np.ndarray:
+        """Nonzeros per row."""
+        return np.bincount(self.coo.rows, minlength=self.coo.nrows)
+
+    @cached_property
+    def row_ptr(self) -> np.ndarray:
+        """Each row's first nonzero (int64, ``nrows + 1`` entries)."""
+        ptr = np.zeros(self.coo.nrows + 1, dtype=np.int64)
+        np.cumsum(self.row_counts, out=ptr[1:])
+        return ptr
+
+    @cached_property
+    def pattern(self) -> sparse.csr_matrix:
+        """``A``: :func:`pattern_csr`."""
+        return pattern_csr(self.coo, self.row_ptr)
+
+    @cached_property
+    def shifted(self) -> sparse.csr_matrix:
+        """:func:`shifted_pattern`."""
+        return shifted_pattern(self.coo, self.row_ptr)
+
+    def by_height(
+        self, heights: Iterable[int]
+    ) -> dict[int, sparse.csr_matrix]:
+        """``{h: R_h @ A}`` (``A`` for 1)."""
+        return coarsen_rows(self.pattern, heights, self._by_height)
+
+    def by_size(self, sizes: Iterable[int]) -> dict[int, sparse.csr_matrix]:
+        """``{b: R_b @ shifted}``: the (segment, diagonal) block counts."""
+        return coarsen_rows(self.shifted, sizes, self._by_size)

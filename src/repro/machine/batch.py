@@ -27,7 +27,10 @@ is shared across widths of one height; a composite height is built by
 grouping the coarse rows of a height that divides it.  A one-row
 blocking merges the sorted pattern's ``col // c`` runs instead of a
 product.  The maps, the merge and the guard live in
-:mod:`repro.formats.coarsen`, shared with the advisor's feature probes.
+:mod:`repro.formats.coarsen`, shared with the advisor's feature probes;
+a cold advise hands the planner the probes'
+:class:`~repro.formats.coarsen.Coarsening`, so each product is built
+once per request.
 Index values (block columns, diagonal starts, decomposition-remainder
 columns) are materialized *lazily* on first access, reproducing the
 per-call converters' arrays bit-for-bit.  The decomposed variants' CSR remainders are derived
@@ -68,11 +71,9 @@ from ..formats.base import SparseFormat
 from ..formats.bcsd import BCSDMatrix
 from ..formats.bcsr import BCSRMatrix
 from ..formats.coarsen import (
-    coarsen_rows,
+    Coarsening,
     column_groups,
     merge_columns,
-    pattern_csr,
-    shifted_pattern,
     worth_coarsening,
 )
 from ..formats.coo import COOMatrix
@@ -333,6 +334,7 @@ def plan_structures(
     *,
     timings: dict | None = None,
     clock: Callable[[], float] | None = None,
+    coarsening: Coarsening | None = None,
 ) -> dict[tuple, SparseFormat]:
     """Build every requested ``(kind, block)`` structure in one fused pass.
 
@@ -341,6 +343,9 @@ def plan_structures(
     structure (the equivalence tests pin this).  ``timings``/``clock``
     charge the coarsening to ``"stats"`` and the object assembly to
     ``"convert"``, mirroring the per-call path's phase accounting.
+    ``coarsening`` is ``coo``'s, when the caller's feature probes already
+    built some of its products (the advisor's cold request); without one
+    the pass builds its own.
     """
     structures = list(dict.fromkeys(structures))
     out: dict[tuple, SparseFormat] = {}
@@ -364,9 +369,14 @@ def plan_structures(
     rows, cols, n = coo.rows, coo.cols, coo.nnz
     nrows, ncols = coo.nrows, coo.ncols
 
+    if coarsening is None:
+        coarsening = Coarsening(coo)
+    elif coarsening.coo is not coo:
+        raise ModelError("the shared coarsening is of another pattern")
+
     t0 = now() if now else 0.0
-    nnz_per_row = np.bincount(rows, minlength=nrows)
-    row_ptr = _ptr_from_counts(nnz_per_row, nrows)
+    nnz_per_row = coarsening.row_counts
+    row_ptr = coarsening.row_ptr
 
     rect_shapes = {b for k, b in structures if k in ("bcsr", "bcsr_dec")}
     diag_sizes = {b for k, b in structures if k in ("bcsd", "bcsd_dec")}
@@ -375,9 +385,7 @@ def plan_structures(
     # One-row blockings merge the sorted pattern's column runs instead.
     coarse: dict[tuple, _Coarse] = {}
     if rect_shapes:
-        by_height = coarsen_rows(
-            pattern_csr(coo, row_ptr), {r for r, _ in rect_shapes}
-        )
+        by_height = coarsening.by_height({r for r, _ in rect_shapes})
         group = {
             c: column_groups(ncols, c)
             for c in {c for r, c in rect_shapes if r > 1 and c > 1}
@@ -392,9 +400,13 @@ def plan_structures(
             coarse[("rect", (r, c))] = _Coarse(mat)
     if diag_sizes:
         # Block (segment s, diagonal d) <-> entry (s, d + nrows - 1).
-        by_size = coarsen_rows(shifted_pattern(coo, row_ptr), diag_sizes)
+        by_size = coarsening.by_size(diag_sizes)
         for b in sorted(diag_sizes):
             coarse[("diag", b)] = _Coarse(by_size[b])
+    # The structures hold the products they need; a coarsening built here
+    # goes now, with the shifted pattern, before the objects are assembled
+    # (a caller's stays alive with the caller).
+    coarsening = None
     if now:
         t0 = charge("stats", t0)
 
@@ -517,6 +529,7 @@ class MatrixProgram:
         profile_cache=None,
         timings: dict | None = None,
         clock: Callable[[], float] | None = None,
+        coarsening: Coarsening | None = None,
     ) -> None:
         self.coo = coo
         self.machine = machine
@@ -524,7 +537,8 @@ class MatrixProgram:
         self._timings = timings
         self._clock = clock if timings is not None else None
         self.fmt_cache = plan_structures(
-            coo, unique_structures(candidates), timings=timings, clock=clock
+            coo, unique_structures(candidates), timings=timings, clock=clock,
+            coarsening=coarsening,
         )
 
     def _charge(self, phase: str, t0: float) -> None:

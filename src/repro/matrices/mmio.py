@@ -139,7 +139,9 @@ def _entries_fast(
 
     Returns ``None`` whenever the pass cannot prove the line loop would
     return the same arrays; the loop then rereads the section and decides,
-    with its own messages.  ``loadtxt`` splits lines on the same whitespace
+    with its own messages.  An in-memory body goes first to
+    :func:`_entries_canonical`; one it does not take, and every file,
+    go to ``loadtxt``.  ``loadtxt`` splits lines on the same whitespace
     as ``str.split``, skips blank lines, takes the first two tokens and
     rejects short lines and float, overflowing or non-ASCII indices.  With
     ``comments=None`` a ``%`` anywhere in an index rejects the body too.
@@ -147,6 +149,12 @@ def _entries_fast(
     """
     if not _FAST_PARSE or nnz <= 0:
         return None
+    if isinstance(fh, io.StringIO):
+        start = fh.tell()
+        entries = _entries_canonical(fh.read(), nrows, ncols, nnz)
+        if entries is not None:
+            return entries
+        fh.seek(start)
     # loadtxt warns on input without data; a body with none takes the loop.
     first = next(_data_lines(fh), None)
     if first is None:
@@ -161,9 +169,60 @@ def _entries_fast(
         )
     except ValueError:
         return None
-    rows, cols = table[:, 0], table[:, 1]
-    if rows.shape[0] != nnz:
+    if table.shape[0] != nnz:
         return None
+    return _in_range(table[:, 0], table[:, 1], nrows, ncols)
+
+
+#: Bytes of a canonical body: two separators and the ten digits.
+_SPACE, _NEWLINE, _ZERO, _NINE = b" \n09"
+#: Longest index token a canonical body may hold: numpy saturates an
+#: int64 overflow to 2**63 - 1 without a word, and 18 digits always fit.
+_MAX_DIGITS = 18
+
+
+def _entries_canonical(
+    body: str, nrows: int, ncols: int, nnz: int
+) -> tuple[np.ndarray, np.ndarray, None] | None:
+    """A canonical ``pattern`` body converted by one ``np.fromstring`` call.
+
+    Canonical: every data line is two unsigned decimal integers joined by
+    one space and ending in ``\\n``, which is what
+    :func:`write_matrix_market` writes.  The line loop reads such a body
+    exactly as ``fromstring`` does, so the pass proves the shape first,
+    over the bytes at once, and returns ``None`` for anything else: the
+    bytes below ``'0'`` must alternate space and newline, number exactly
+    ``2 * nnz`` and end the body, no byte may lie above ``'9'``, no token
+    may be longer than :data:`_MAX_DIGITS`, ``fromstring`` must return
+    ``2 * nnz`` values (it skips an empty token) and every index must be
+    in range.
+    """
+    try:
+        raw = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    except UnicodeEncodeError:
+        return None
+    if raw.size == 0 or raw[-1] != _NEWLINE or raw.max() > _NINE:
+        return None
+    seps = np.flatnonzero(raw < _ZERO)
+    if (
+        seps.shape[0] != 2 * nnz
+        or (raw[seps[0::2]] != _SPACE).any()
+        or (raw[seps[1::2]] != _NEWLINE).any()
+        or seps[0] > _MAX_DIGITS
+        or np.diff(seps).max() > _MAX_DIGITS + 1
+    ):
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    if values.shape[0] != 2 * nnz:
+        return None
+    return _in_range(values[0::2], values[1::2], nrows, ncols)
+
+
+def _in_range(
+    rows: np.ndarray, cols: np.ndarray, nrows: int, ncols: int
+) -> tuple[np.ndarray, np.ndarray, None] | None:
+    """The 0-based pattern of 1-based ``rows``/``cols``, or ``None`` when
+    an index lies outside the size line."""
     if (
         rows.min() < 1 or rows.max() > nrows
         or cols.min() < 1 or cols.max() > ncols

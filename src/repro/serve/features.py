@@ -20,7 +20,10 @@ there:
   counts, so it equals the :mod:`~repro.formats.blockstats` definition bit
   for bit.  A pattern past the coarsening guard (too large for 32-bit
   indices, or with far more rows and columns than nonzeros) keeps the
-  per-nonzero BlockStats probes.
+  per-nonzero BlockStats probes.  An unsampled pattern's row and
+  diagonal products go into the caller's
+  :class:`~repro.formats.coarsen.Coarsening` when it passes one, so the
+  planner of the same request reuses them.
 * **Panel sampling** — on large matrices the probes run on a few
   block-aligned row panels (~240k nonzeros total) instead of the full
   pattern.  Panels start and end on rows divisible by every probed block
@@ -40,13 +43,7 @@ from hashlib import sha256
 import numpy as np
 
 from ..formats.blockstats import bcsd_block_stats, bcsr_block_stats
-from ..formats.coarsen import (
-    coarsen_rows,
-    column_groups,
-    pattern_csr,
-    shifted_pattern,
-    worth_coarsening,
-)
+from ..formats.coarsen import Coarsening, column_groups, worth_coarsening
 from ..formats.coo import COOMatrix
 from ..matrices.stats import fill_of, full_block_fraction, run_lengths
 
@@ -273,7 +270,9 @@ def _sample_panels(
     return sample, True
 
 
-def _count_probes(sample: COOMatrix) -> dict[str, dict]:
+def _count_probes(
+    sample: COOMatrix, coarsening: Coarsening | None = None
+) -> dict[str, dict]:
     """Every probe from block counts, by sparse coarsening.
 
     Each value is an integer ratio of counts, so it equals the BlockStats
@@ -282,7 +281,8 @@ def _count_probes(sample: COOMatrix) -> dict[str, dict]:
     the entries of ``R_h @ A`` and ``R_b @ shifted``, the 2-D probes those
     of ``(R_r @ A) @ C_c``; column runs (``r = 1``) need no product, since
     in canonical order a block starts wherever the row or ``col // c``
-    changes.
+    changes.  ``coarsening`` is ``sample``'s, when the caller shares it
+    with the planner.
     """
     n = sample.nnz
     if n == 0:
@@ -295,13 +295,12 @@ def _count_probes(sample: COOMatrix) -> dict[str, dict]:
             "rect_full_frac": dict.fromkeys(RECT_PROBES, 0.0),
         }
     rows, cols = sample.rows, sample.cols
-    row_ptr = np.zeros(sample.nrows + 1, dtype=np.int64)
-    np.cumsum(sample.row_counts(), out=row_ptr[1:])
-    by_height = coarsen_rows(
-        pattern_csr(sample, row_ptr),
-        set(ROW_PROBES) | {r for r, _ in RECT_PROBES},
+    if coarsening is None:
+        coarsening = Coarsening(sample)
+    by_height = coarsening.by_height(
+        set(ROW_PROBES) | {r for r, _ in RECT_PROBES}
     )
-    by_size = coarsen_rows(shifted_pattern(sample, row_ptr), DIAG_PROBES)
+    by_size = coarsening.by_size(DIAG_PROBES)
     new_row = rows[1:] != rows[:-1]
 
     def col_blocks(c: int) -> int:
@@ -354,10 +353,17 @@ def _blockstats_probes(sample: COOMatrix) -> dict[str, dict]:
 
 
 def extract_features(
-    coo: COOMatrix, *, fingerprint: str | None = None
+    coo: COOMatrix,
+    *,
+    fingerprint: str | None = None,
+    coarsening: Coarsening | None = None,
 ) -> MatrixFeatures:
     """Compute the advisor feature bundle for one pattern (``fingerprint``
-    is ``matrix_fingerprint(coo)``, when the caller already has it)."""
+    is ``matrix_fingerprint(coo)``, when the caller already has it).
+
+    ``coarsening`` is ``coo``'s, when the caller plans from it too: the
+    probes of an unsampled pattern then build their products into it.
+    """
     t0 = time.perf_counter()
     counts = coo.row_counts()
     runs = run_lengths(coo)
@@ -380,7 +386,7 @@ def extract_features(
     ):
         probes = _blockstats_probes(sample)
     else:
-        probes = _count_probes(sample)
+        probes = _count_probes(sample, None if sampled else coarsening)
 
     return MatrixFeatures(
         fingerprint=fingerprint or matrix_fingerprint(coo),

@@ -40,6 +40,7 @@ from ..core.selection import rank_with_model
 from ..durability.report import forward_to_bus
 from ..engine.events import EventBus
 from ..errors import ServiceUnavailableError
+from ..formats.coarsen import Coarsening
 from ..formats.coo import COOMatrix
 from ..machine.batch import MatrixProgram
 from ..machine.machine import MachineModel
@@ -527,11 +528,16 @@ class AdvisorService:
                 max_block_elems=options.max_block_elems, include_vbl=False
             )
             n_structures_total = len({(c.kind, c.block) for c in candidates})
+            # The feature probes and the planner share one set of coarse
+            # products; it dies with this request.
+            coarsening = Coarsening(coo)
             features: MatrixFeatures | None = None
             pruning: PruneDecision | None = None
             pool = candidates
             if options.prune:
-                features = extract_features(coo, fingerprint=fingerprint)
+                features = extract_features(
+                    coo, fingerprint=fingerprint, coarsening=coarsening
+                )
                 pruning = prune_candidates(
                     features, candidates, precision=precision
                 )
@@ -540,7 +546,9 @@ class AdvisorService:
                 # Learning needs the feature bundle even on --no-prune
                 # requests: the trace logs the derived vector and the
                 # shadow comparison predicts from it.
-                features = extract_features(coo, fingerprint=fingerprint)
+                features = extract_features(
+                    coo, fingerprint=fingerprint, coarsening=coarsening
+                )
             predicted_kind = None
             if (
                 decision is not None
@@ -565,6 +573,7 @@ class AdvisorService:
                 profile_cache=self.profile_cache,
                 timings=timings,
                 clock=time.perf_counter,
+                coarsening=coarsening,
             )
             results = program.predict(
                 precision, options.nthreads, pool, models=(model.name,)

@@ -123,13 +123,13 @@ class TestPlanStructures:
     def test_hypersparse_pattern_skips_coarsening(self, monkeypatch):
         """Three rows by a million columns around one nonzero: coarsening
         maps would be O(ncols), so the per-structure builders run."""
-        import repro.machine.batch as batch
+        import repro.formats.coarsen as coarsen
 
         def refuse(*args, **kwargs):
             raise AssertionError("coarsened a hypersparse pattern")
 
-        monkeypatch.setattr(batch, "pattern_csr", refuse)
-        monkeypatch.setattr(batch, "shifted_pattern", refuse)
+        monkeypatch.setattr(coarsen, "pattern_csr", refuse)
+        monkeypatch.setattr(coarsen, "shifted_pattern", refuse)
         coo = COOMatrix(3, 2**20, [1], [2**20 - 1], None)
         fused = plan_structures(coo, STRUCTURES)
         for kind, block in STRUCTURES:
@@ -601,3 +601,34 @@ class TestPlansLeaveNoReferenceCycle:
             ref = weakref.ref(fmt)
             del fmt
             assert ref() is None
+
+
+class TestSharedCoarsening:
+    """A cold advise plans from the coarsening its feature probes built:
+    the structures must be the ones the planner builds alone, array for
+    array, whatever order the shared products keep within a row."""
+
+    @given(coo=st.one_of(random_coos(), odd_shaped_coos()))
+    @settings(max_examples=30, deadline=None)
+    def test_plans_the_same_arrays(self, coo):
+        from repro.formats.coarsen import Coarsening
+        from repro.serve.features import _count_probes
+
+        structures = unique_structures(FULL_SPACE)
+        shared = Coarsening(coo)
+        _count_probes(coo, shared)
+        fused = plan_structures(coo, structures, coarsening=shared)
+        alone = plan_structures(coo, structures)
+        assert set(fused) == set(alone)
+        for key, fmt in alone.items():
+            assert_same_format(fused[key], fmt)
+
+    def test_rejects_another_patterns_coarsening(self, small_coo):
+        from repro.errors import ModelError
+        from repro.formats.coarsen import Coarsening
+
+        other = COOMatrix.eye(small_coo.nrows)
+        with pytest.raises(ModelError, match="another pattern"):
+            plan_structures(
+                small_coo, STRUCTURES, coarsening=Coarsening(other)
+            )

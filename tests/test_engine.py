@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -57,6 +58,15 @@ def stub_matrix(shard_id: int, name: str = "stub") -> MatrixSweep:
 
 def stub_task(task) -> MatrixSweep:
     return stub_matrix(task.shard_id, task.name)
+
+
+def peak_reporting_task(task) -> MatrixSweep:
+    """A stub shard that records its process id (as ``nrows``) and its
+    process's peak RSS in KiB (as ``nnz``) at its end."""
+    matrix = stub_task(task)
+    matrix.nrows = os.getpid()
+    matrix.nnz = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return matrix
 
 
 #: The shard whose pool worker the worker-death tests SIGKILL.
@@ -322,6 +332,23 @@ class TestPoolPath:
         store = ShardStore(tmp_path, STUB_CONFIG)
         assert all(store.load(i) is not None for i in SUBSET)
         assert len(col.of("shard_finish")) == 3
+
+    def test_shard_finish_carries_the_workers_peak_rss(self, tmp_path):
+        """Each ``shard_finish`` carries the peak RSS of the pool worker
+        that ran the shard, in MiB, read after it: no less than the shard
+        itself last read there (less the event's rounding), and not far
+        above."""
+        col = CollectingReporter()
+        result = SweepEngine(
+            STUB_CONFIG, cache_dir=tmp_path, jobs=2,
+            task_fn=peak_reporting_task, reporters=[col],
+        ).run()
+        peaks = {e["shard"]: e["peak_rss_mb"] for e in col.of("shard_finish")}
+        assert set(peaks) == set(SUBSET)
+        for matrix in result.matrices:
+            assert matrix.nrows != os.getpid()
+            in_task = matrix.nnz / 1024
+            assert in_task - 0.05 <= peaks[matrix.idx] <= in_task + 4
 
 
 class TestWorkerDeath:

@@ -21,12 +21,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine.events import EventBus
+from repro.engine.events import CollectingReporter, EventBus
 from repro.fleet import (
     BalancerRequestHandler,
     FleetBalancer,
     FleetConfig,
     FleetSupervisor,
+    WorkerProcess,
     WorkerSlot,
     build_plan,
     merge_stats,
@@ -577,6 +578,99 @@ def test_loadtest_exits_1_on_an_unclean_drain(
     assert table["statuses"] == {"200": 4}
     assert table["violations"] == []
     assert table["clean_drain"] is False
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"],
+    ["--clients", "0"],
+    ["--single", "--clients", "0"],
+], ids=["workers-0", "clients-0", "single-clients-0"])
+def test_loadtest_rejects_zero_counts_before_spawning(
+    flags, tmp_path, monkeypatch, capsys
+):
+    """A non-positive ``--workers``/``--clients`` is a bad flag: one
+    ``error:`` line and exit 2, before any worker process starts."""
+    from repro.cli import main
+
+    spawned = []
+    monkeypatch.setattr(
+        WorkerProcess, "spawn", lambda self: spawned.append(self) or 0
+    )
+    rc = main([
+        "loadtest", *flags, "--requests", "2", "--matrices", "dense",
+        "--cache-dir", str(tmp_path),
+    ])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert spawned == []
+
+
+class _HeldWorker(WorkerProcess):
+    """A stand-in ``repro serve``: a real child process that announces a
+    port and exits 0 on SIGTERM.  The fleet's first generation reports
+    ready at once; a restarted worker holds its readiness until shutdown
+    has begun and reports ready half a second later (a probe that was in
+    flight), so the restart loses the race while shutdown is draining."""
+
+    SCRIPT = (
+        "import signal, sys, time\n"
+        "signal.signal(signal.SIGTERM, lambda *a: sys.exit(0))\n"
+        "print('listening on http://127.0.0.1:9', flush=True)\n"
+        "time.sleep(120)\n"
+    )
+
+    def __init__(self, index, cache_dir, spawned, held, first_generation):
+        super().__init__(index, cache_dir=cache_dir)
+        self.restarted = len(spawned) >= first_generation
+        self.held = held
+        spawned.append(self)
+
+    def command(self):
+        return [sys.executable, "-c", self.SCRIPT]
+
+    def wait_ready(self, timeout_s=60.0, *, cancel=None):
+        if self.restarted:
+            self.held.set()
+            assert cancel is not None and cancel.wait(timeout_s)
+            time.sleep(0.5)
+        return self.alive()
+
+
+def test_shutdown_during_a_restart_mounts_nothing_and_drains_clean(
+    tmp_path,
+):
+    spawned, held = [], threading.Event()
+    supervisor = FleetSupervisor(
+        FleetConfig(workers=2, cache_dir=tmp_path, fleet_drain_timeout_s=20)
+    )
+    supervisor._new_worker = lambda index: _HeldWorker(
+        index, tmp_path, spawned, held, first_generation=2
+    )
+    events = CollectingReporter()
+    supervisor.bus.subscribe(events)
+    supervisor.start()
+    try:
+        supervisor.kill_worker(0)  # the monitor restarts it after a backoff
+        assert held.wait(20), "the restart never reached its readiness wait"
+        assert supervisor.shutdown() is True
+        # The restart reported ready only after shutdown began: never
+        # mounted (worker_ready marks a mount), and stopped by itself.
+        assert [e["worker_id"] for e in events.of("worker_ready")] in (
+            [0, 1], [1, 0]
+        )
+        assert [s.worker for s in supervisor.slots] == [None, None]
+        assert len(spawned) == 3
+        assert [w.poll() is not None for w in spawned] == [True] * 3
+        assert spawned[0].poll() == -signal.SIGKILL
+        assert spawned[1].poll() == spawned[2].poll() == 0
+    finally:
+        for worker in spawned:
+            if worker.alive():
+                worker.kill()
+                worker.wait(5.0)
+            worker.close()
 
 
 def self_worker(index, config, profile_root):

@@ -395,6 +395,70 @@ class TestFastParseEquivalence:
             assert read_matrix_market(path) == coo
 
 
+@st.composite
+def canonical_bodies(draw):
+    """Bodies of digit tokens joined by one space and one newline: the
+    shape the one-call pass takes, with empty, zero, leading-zero and
+    long tokens (up to 21 digits) and sizes up to 10**20."""
+    tokens = st.text(alphabet="0123456789", max_size=21)
+    lines = draw(st.lists(st.tuples(tokens, tokens), max_size=6))
+    nnz = len(lines) + draw(st.sampled_from([0] * 6 + [-1, 1]))
+    nrows = draw(st.sampled_from([6, 10**18, 10**20]))
+    ncols = draw(st.sampled_from([6, 10**18, 10**20]))
+    body = "".join(f"{a} {b}\n" for a, b in lines)
+    return nrows, ncols, nnz, body
+
+
+class TestCanonicalShape:
+    """The one-call conversion of a canonical body returns exactly what
+    the line loop returns, or leaves the body to loadtxt and the loop."""
+
+    @given(case=canonical_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_bodies_match_line_loop(self, case):
+        nrows, ncols, nnz, body = case
+        text = (
+            _HEADER.format("pattern", "general")
+            + f"{nrows} {ncols} {nnz}\n" + body
+        )
+        fast = _outcome(text)
+        with _loop_only():
+            loop = _outcome(text)
+        assert fast == loop
+
+    @pytest.mark.parametrize("size, body", [
+        ("3 4 2", "1\n2 3 4\n"),     # one token, then three
+        ("3 4 1", "1\n2\n"),         # two one-token lines
+        ("3 4 2", "1 \n 2\n"),       # an empty token on each line
+        (f"{10**20} 3 1", "18446744073709551617 1\n"),  # past int64
+        ("3 4 2", "1 2\n3 1"),        # no final newline
+        ("3 4 2", "1 2\r\n3 1\r\n"),  # CRLF line endings
+    ])
+    def test_non_canonical_shapes_are_left_to_the_loop(self, size, body):
+        nrows, ncols, nnz = (int(tok) for tok in size.split())
+        assert mmio._entries_canonical(body, nrows, ncols, nnz) is None
+        text = _HEADER.format("pattern", "general") + f"{size}\n{body}"
+        fast = _outcome(text)
+        with _loop_only():
+            loop = _outcome(text)
+        assert fast == loop
+
+    def test_canonical_upload_reaches_neither_loadtxt_nor_the_loop(
+        self, tmp_path, monkeypatch
+    ):
+        coo = make_random_coo(40, 30, 200, seed=5, with_values=False)
+        path = tmp_path / "m.mtx"
+        write_matrix_market(path, coo)
+        text = path.read_text()
+        monkeypatch.setattr(
+            np, "loadtxt", mock.Mock(side_effect=AssertionError)
+        )
+        monkeypatch.setattr(
+            mmio, "_entries_loop", mock.Mock(side_effect=AssertionError)
+        )
+        assert read_matrix_market_text(text) == coo
+
+
 class TestLenientNumpy:
     """numpy releases that parse ``1.5`` into an int64 column must not
     take the fast path: the loop rejects such an index."""

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.formats import COOMatrix
+from repro.formats import COOMatrix, coarsen
 from repro.serve import features
 from repro.serve.features import (
     DIAG_PROBES,
@@ -265,8 +265,8 @@ class TestCountedProbes:
         def refuse(*args, **kwargs):
             raise AssertionError("coarsening past the guard")
 
-        monkeypatch.setattr(features, "pattern_csr", refuse)
-        monkeypatch.setattr(features, "shifted_pattern", refuse)
+        monkeypatch.setattr(coarsen, "pattern_csr", refuse)
+        monkeypatch.setattr(coarsen, "shifted_pattern", refuse)
         coo = COOMatrix(3, ncols, [1], [ncols - 1])
         assert not features.worth_coarsening(coo.nrows, coo.ncols, coo.nnz)
         _assert_probes_match_oracle(vars(extract_features(coo)), coo)

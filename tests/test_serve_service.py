@@ -1,5 +1,7 @@
 """Tests for the thread-safe AdvisorService (advise, cache, stats)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.serve.service import (
@@ -76,6 +78,51 @@ class TestAdvise:
         assert not rec.cache_hit
         assert calls == [small]
         assert rec.fingerprint == rec.features["fingerprint"] == real(small)
+
+    def test_cold_advise_builds_each_coarsening_once(
+        self, service, monkeypatch
+    ):
+        """The feature probes and the planner of one unsampled upload share
+        its coarsenings: every ``R_h @ A`` and ``R_b @ shifted`` is one
+        product, counted by its shape (distinct for every height here)."""
+        import numpy as np
+
+        import repro.formats.coarsen as coarsen
+        from repro.formats.coo import COOMatrix
+
+        n = 240  # dense 6 x 6 diagonal blocks plus the superdiagonal
+        rows = np.concatenate([np.repeat(np.arange(n), 6), np.arange(n - 1)])
+        cols = np.concatenate([
+            np.repeat(np.arange(n) // 6 * 6, 6) + np.tile(np.arange(6), n),
+            np.arange(1, n),
+        ])
+        coo = COOMatrix(n, n, rows, cols)
+        real = coarsen.row_aggregation
+        built = Counter()
+
+        class Counted:
+            def __init__(self, agg):
+                self.agg = agg
+
+            def __matmul__(self, src):
+                out = self.agg @ src
+                built[out.shape] += 1
+                return out
+
+        monkeypatch.setattr(
+            coarsen, "row_aggregation", lambda k, h: Counted(real(k, h))
+        )
+        rec = service.advise(coo)
+        assert not rec.cache_hit and not rec.features["sampled"]
+        planned = {(r.kind, r.block) for r in rec.ranking}
+        # The pool plans heights and sizes the probes built too.
+        assert {("bcsr", (2, 2)), ("bcsr", (6, 1)), ("bcsd", 2)} <= planned
+        a_cols, shifted_cols = n, 2 * n - 1
+        for h in (2, 3, 4, 6, 8):
+            assert built[(-(-n // h), a_cols)] == 1
+        for b in (2, 4, 6, 8):
+            assert built[(-(-n // b), shifted_cols)] == 1
+        assert max(built.values()) == 1
 
     def test_no_prune_evaluates_everything(self, service, small):
         rec = service.advise(small, prune=False)
